@@ -45,8 +45,9 @@ from .species_coeff import (
 from .transition_prob import (
     delta_recovery,
     distribution_over_window,
+    _evaluate,
+    _target_values,
     inversion_class_sum,
-    transition_probabilities,
 )
 
 EXIT_OK = 0
@@ -148,7 +149,8 @@ _QUAD_FIELDS = {
     "type": "object",
     "properties": {
         "nodes": {"type": "integer"},
-        "radius": {"type": "number"},
+        "radius": {"type": ["number", "null"]},
+        "mirror_radius": {"type": "number"},
         "radius_rule": {"enum": ["balanced", "explicit"]},
     },
     "required": ["nodes", "radius"],
@@ -592,12 +594,24 @@ def _write_target_csv(path, rows, with_oracle):
             writer.writerow(out)
 
 
-def _quad_dict(spec: ContourSpec, radius: float) -> dict:
-    return {
-        "nodes": spec.nodes,
+def _quad_dict(
+    spec: ContourSpec,
+    radius: float | None,
+    mirror_radius: float | None = None,
+    nodes: int | None = None,
+) -> dict:
+    quad = {
+        "nodes": spec.nodes if nodes is None else nodes,
         "radius": radius,
         "radius_rule": "explicit" if spec.radius is not None else "balanced",
     }
+    if mirror_radius is not None:
+        quad["mirror_radius"] = mirror_radius
+    return quad
+
+
+def _radius_text(radius: float | None) -> str:
+    return "none" if radius is None else f"{radius:.6f}"
 
 
 def _oracle_lookup(y, nu, rates, t, leak_tol):
@@ -610,13 +624,16 @@ def cmd_prob(args) -> int:
     if targets is None and window is None:
         window = window_for(y, t, args.leak_tol)
     if targets is not None:
-        values = transition_probabilities(y, nu, targets, rates, t, spec)
+        evaluation = _evaluate(y, nu, targets, rates, t, spec)
+        values = _target_values(targets, evaluation)
+        radius, mirror_radius = evaluation.radius, evaluation.mirror_radius
         window_out, leak = None, None
     else:
         report_dist = distribution_over_window(
             y, nu, rates, t, window=window, leak_tol=args.leak_tol, spec=spec
         )
         values = list(report_dist.values)
+        radius, mirror_radius = report_dist.radius, report_dist.mirror_radius
         window_out, leak = report_dist.window, report_dist.leakage
     oracle = None
     if args.with_oracle:
@@ -632,17 +649,13 @@ def cmd_prob(args) -> int:
         if oracle is not None:
             row["oracle"] = oracle.get((tv.sites, tv.species), 0.0)
         rows.append(row)
-    from .transition_prob import _extended_rates, _resolve_radius
-
-    min_exp = min(sum(tv.sites) for tv in values) - sum(y) if values else 0
-    radius = float(_resolve_radius(spec, _extended_rates(rates), t, min_exp, len(y)))
     report = {
         "command": "prob",
         "formula": "multispecies-contour-sum",
         "p": float(rates.p),
         "t": t,
         "initial": {"sites": list(y), "species": list(nu)},
-        "quadrature": _quad_dict(spec, radius),
+        "quadrature": _quad_dict(spec, radius, mirror_radius),
         "targets": rows,
         "total_value": sum(r["value"] for r in rows),
         "max_imag": max((abs(r["imag"]) for r in rows), default=0.0),
@@ -655,7 +668,8 @@ def cmd_prob(args) -> int:
         _write_target_csv(args.csv, rows, oracle is not None)
     print(
         f"prob: {len(rows)} target(s), total {report['total_value']:.12f}, "
-        f"max |imag| {report['max_imag']:.3e}, nodes {spec.nodes}, radius {radius:.6f}"
+        f"max |imag| {report['max_imag']:.3e}, nodes {spec.nodes}, "
+        f"radius {_radius_text(radius)}, mirror_radius {_radius_text(mirror_radius)}"
     )
     for row in rows[: args.print_limit]:
         extra = f"  oracle {row['oracle']:.12e}" if "oracle" in row else ""
@@ -681,11 +695,7 @@ def cmd_verify_delta(args) -> int:
         "initial": {"sites": list(y), "species": list(nu)},
         "margin": args.margin,
         "tolerance": args.quad_tol,
-        "quadrature": {
-            "nodes": rep.nodes,
-            "radius": rep.radius,
-            "radius_rule": "explicit" if spec.radius is not None else "balanced",
-        },
+        "quadrature": _quad_dict(spec, rep.radius, rep.mirror_radius, rep.nodes),
         "max_residual": rep.max_residual,
         "passed": rep.passed,
     }
@@ -693,7 +703,8 @@ def cmd_verify_delta(args) -> int:
     status = "PASS" if rep.passed else "FAIL"
     print(
         f"verify-delta: {status}  max residual {rep.max_residual:.3e} "
-        f"(tol {args.quad_tol:g}) at {rep.nodes} nodes, radius {rep.radius:.6f}"
+        f"(tol {args.quad_tol:g}) at {rep.nodes} nodes, radius "
+        f"{_radius_text(rep.radius)}, mirror_radius {_radius_text(rep.mirror_radius)}"
     )
     return EXIT_OK if rep.passed else EXIT_FAIL
 

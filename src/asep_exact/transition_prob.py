@@ -2,28 +2,35 @@
 
 The probability of finding the particles at sites ``x`` with species
 labeling ``pi``, having started at ``y`` with labeling ``nu``, is a sum
-over permutations of an N-fold contour integral.  Each summand couples a
-pairwise scattering amplitude, a species reordering coefficient, and a
-product of per-variable kernels carrying the site exponents and the time
-evolution factor.
+over permutations sigma of an N-fold contour integral.  Each summand
+couples a pairwise scattering amplitude, a species reordering coefficient,
+a product of per-variable kernels carrying the initial sites and the time
+evolution factor, and the monomial prod_v xi_v^(x at slot sigma^-1(v)).
 
-The quadrature turns each contour into K equispaced nodes on a circle of
-small admissible radius.  The integrand is then separable except for the
-scattering pair factors and the species coefficients, so the engine
-evaluates, per permutation and labeling, a tensor of moments
+Substituting xi'_i = xi_sigma(i) gives every summand the same monomial
+prod_i xi'_i^x_i, so per labeling pi the sum is one symmetrized integrand
+G_pi(xi') whose Fourier coefficients are the probabilities (Tracy-Widom
+2008).  With K equispaced nodes r * w^k on each contour the trapezoid sums
+of all targets at once are an inverse DFT of G_pi on the node grid:
 
-    V[s_1 .. s_N] = mean over node tuples of
-                    (pair factors) * (species coeff) * prod_v kernel_v * z_v^{site s_v}
+    P(x, pi) = r^(sum x) * ifftn(G_pi)[x mod K]
 
-and reads every requested target off the same tensors.  Intermediate sums
-cancel violently for targets far to the left of the start (the summands
-reach 1e10 while the answer sits near 1e-8), so all node arithmetic and
-all accumulation is done in extended precision; see the compensation in
-the slab loop.
+which is exactly the per-target trapezoid sum, aliasing included.
 
-Everything is streamed over the first node axis: the full node grid for
-N particles has K^N points, but one slab (one node fixed on the first
-contour) is a K^{N-1} grid, which keeps memory flat in K for N <= 4.
+The K^N grid is never built.  A slab (one node fixed on the contour of
+xi_1) is a K^(N-1) grid; in xi' coordinates sigma's slab is the plane
+normal to axis j = sigma^-1(1).  Planes are summed per (j, pi),
+transformed over their N-1 axes keeping only the modes the targets need,
+and a last transform along the slab index finishes each axis-j spectrum.
+All node arithmetic and every transform run in extended precision
+(clongdouble): the spectra cancel many orders below their terms.
+
+Targets left of the start (sum x < sum y) would need an integrand growing
+like r^(sum x - sum y) on a contour held inside the pole bound, so they
+are computed on the mirrored lattice: sites negated and reversed, species
+reversed, p and q swapped, which makes the exponent positive.  Each half
+gets its own balanced radius.  At p = 1 the left half is exactly 0,
+because particles only move right.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .bethe_algebra import RateParams, amplitude, dispersion, s_factor
 from .contour_quadrature import (
@@ -94,11 +102,12 @@ class DistributionReport:
     initial_species: tuple[int, ...]
     p: float
     time: float
-    radius: float
+    radius: float | None
     nodes: int
     window: tuple[int, int]
     leakage: float
     values: tuple[TargetValue, ...]
+    mirror_radius: float | None = None
 
     @property
     def total_mass(self) -> float:
@@ -116,12 +125,24 @@ class DistributionReport:
 class DeltaReport:
     max_residual: float
     nodes: int
-    radius: float
+    radius: float | None
     tolerance: float
+    mirror_radius: float | None = None
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """A batch's values with the contour radius each half used.  The
+    direct half holds the targets with sum(x) >= sum(y), the mirrored half
+    the rest; a radius is None when no target was computed in its half."""
+
+    values: tuple[complex, ...]
+    radius: float | None
+    mirror_radius: float | None
 
 
 @dataclass(frozen=True)
@@ -153,23 +174,9 @@ def _axis_kernels(z, y, rates, t, nodes):
     return [z ** (-int(yv)) * growth / np.longdouble(nodes) for yv in y]
 
 
-def _moment_matrix(z, site_powers):
-    exps = np.array(site_powers, dtype=np.int64)
-    return z[:, None] ** exps[None, :]
-
-
-def _rest_einsum(n_rest):
-    grid = "abcdef"[:n_rest]
-    outs = "uvwxyz"[:n_rest]
-    pairs = ",".join(g + o for g, o in zip(grid, outs))
-    return f"{grid},{pairs}->{outs}"
-
-
-def _compensated_add(total, comp, term):
-    s = total + term
-    big = np.abs(total) >= np.abs(term)
-    comp += np.where(big, (total - s) + term, (term - s) + total)
-    return s, comp
+def _reflect(sites: tuple[int, ...]) -> tuple[int, ...]:
+    """Sites on the mirrored lattice: negated, in reversed slot order."""
+    return tuple(-s for s in reversed(sites))
 
 
 def _evaluate(
@@ -180,10 +187,12 @@ def _evaluate(
     t: float,
     spec: ContourSpec | None = None,
     force_table_recursion: bool = False,
-) -> list[complex]:
+) -> Evaluation:
     """Values for a batch of (sites, species) targets sharing one start.
 
     Targets whose species multiset differs from nu's get an exact 0.
+    Targets left of the start (sum x < sum y) are computed on the mirrored
+    lattice, with p and q swapped; at p = 1 they are exactly 0.
     """
     check_config(tuple(y), tuple(nu))
     if t < 0:
@@ -197,29 +206,50 @@ def _evaluate(
 
     orbit = species_orbit(tuple(nu))
     live = [k for k, (x, pi) in enumerate(targets) if tuple(pi) in orbit]
+    direct = [k for k in live if sum(targets[k][0]) >= sum(y)]
+    left = [k for k in live if sum(targets[k][0]) < sum(y)]
     out: list[complex] = [0j] * len(targets)
-    if not live:
-        return out
 
+    values, radius = _contour_sum(
+        tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec,
+        force_table_recursion,
+    )
+    for k, v in zip(direct, values):
+        out[k] = v
+    mirror_radius = None
+    if left and rates.q != 0:
+        mirrored = [
+            (_reflect(tuple(targets[k][0])), tuple(reversed(targets[k][1])))
+            for k in left
+        ]
+        values, mirror_radius = _contour_sum(
+            _reflect(tuple(y)), tuple(reversed(nu)), mirrored,
+            RateParams(rates.q, rates.p), t, spec, force_table_recursion,
+        )
+        for k, v in zip(left, values):
+            out[k] = v
+    return Evaluation(values=tuple(out), radius=radius, mirror_radius=mirror_radius)
+
+
+def _contour_sum(y, nu, targets, rates, t, spec, force_table_recursion):
+    """Trapezoid values of targets with sum(x) >= sum(y), all in nu's
+    species orbit, read off one symmetrized spectrum per labeling; returns
+    the values and the radius used (None for an empty batch)."""
+    if not targets:
+        return [], None
+    n = len(y)
     ext = _extended_rates(rates)
-    min_exponent = min(sum(targets[k][0]) - sum(y) for k in live)
-    radius = _resolve_radius(spec, ext, t, min_exponent, n)
+    sites = np.array([x for x, _ in targets], dtype=np.int64)
+    radius = _resolve_radius(spec, ext, t, int(sites.sum(axis=1).min()) - sum(y), n)
     nodes = spec.nodes
     z = node_points(radius, nodes)
     kernels = _axis_kernels(z, y, ext, t, nodes)
-
-    site_powers = sorted({s for k in live for s in targets[k][0]})
-    site_index = {s: i for i, s in enumerate(site_powers)}
-    moments = _moment_matrix(z, site_powers)
-
-    sigmas = all_permutations(n)
-    needed_pis = sorted({tuple(targets[k][1]) for k in live})
+    modes = sites % nodes
+    scale = np.longdouble(radius) ** sites.sum(axis=1)
 
     if n == 1:
-        v = moments.T @ kernels[0]
-        for k in live:
-            out[k] = complex(v[site_index[targets[k][0][0]]])
-        return out
+        spectrum = scipy.fft.ifft(kernels[0], norm="forward")
+        return [complex(v) for v in scale * spectrum[modes[:, 0]]], float(radius)
 
     n_rest = n - 1
     if nodes**n_rest > MAX_SLAB_POINTS:
@@ -228,7 +258,7 @@ def _evaluate(
             "lower the node count or the particle count"
         )
 
-    trivial_table = len(orbit) == 1 and not force_table_recursion
+    trivial_table = len(species_orbit(nu)) == 1 and not force_table_recursion
     rest_views = [axis_view(z, a, n_rest) for a in range(n_rest)]
 
     # Scattering factors: pairs entirely in the rest grid are slab
@@ -244,58 +274,106 @@ def _evaluate(
     for a in range(3, n + 1):
         rest_kernel = rest_kernel * axis_view(kernels[a - 1], a - 2, n_rest)
 
-    einsum_sub = _rest_einsum(n_rest)
-    rest_shape = (len(site_powers),) * n_rest
-    tensors = {
-        (sigma, pi): (
-            np.zeros((len(site_powers),) + rest_shape, dtype=np.clongdouble),
-            np.zeros((len(site_powers),) + rest_shape, dtype=np.clongdouble),
+    # In xi'_i = xi_sigma(i) coordinates every summand carries the same
+    # monomial prod xi'^x.  A slab fixes xi_1 = xi'_j with j = sigma^-1(1),
+    # so sigma's slab is the plane normal to axis j, its axes in xi' order.
+    # Write sigma as the order tau of the entries 2..N with 1 inserted in
+    # slot j: plane axis m then holds the entry tau[m], the pair factors
+    # within the rest grid depend on tau only, and the factors with the
+    # first variable sit on plane axes 0..j-1 whatever tau is.
+    orders = [
+        (
+            tuple(v + 1 for v in tau),
+            tuple(v - 1 for v in tau),
+            [(a + 1, b + 1) for a, b in sorted(inversions(tau))],
         )
-        for sigma in sigmas
-        for pi in needed_pis
-    }
-    inv_lists = {sigma: sorted(inversions(sigma)) for sigma in sigmas}
+        for tau in all_permutations(n_rest)
+    ]
 
+    def rest_product(axes, rest_inversions):
+        amp = rest_kernel.transpose(axes)
+        for a, b in rest_inversions:
+            amp = np.multiply(amp, pair_rest[(a, b)].transpose(axes), order="C")
+        return amp
+
+    # per axis j: the modes each plane axis keeps, and where each target's
+    # plane mode tuple sits among the deduplicated ones
+    axis_modes, plane_modes, plane_slot = [], [], []
+    for j in range(n):
+        kept = np.delete(modes, j, axis=1)
+        axis_modes.append([np.unique(column) for column in kept.T])
+        at = np.stack(
+            [np.searchsorted(m, column) for m, column in zip(axis_modes[j], kept.T)],
+            axis=1,
+        )
+        uniq, slot = np.unique(at, axis=0, return_inverse=True)
+        plane_modes.append(tuple(uniq.T))
+        plane_slot.append(slot.reshape(-1))
+    pis = [tuple(pi) for _, pi in targets]
+    needed_pis = sorted(set(pis))
+
+    if trivial_table:
+        # coefficient 1 everywhere: the sum over tau is slab independent
+        shared = None
+        for _, axes, rest_inversions in orders:
+            amp = rest_product(axes, rest_inversions)
+            shared = amp if shared is None else shared + amp
+        sums = {(j, nu): shared for j in range(n)}
+    else:
+        # the rest-grid factors of each order tau are slab independent
+        amps = [rest_product(axes, rest_inversions) for _, axes, rest_inversions in orders]
+
+    # Per-slab planes live in buffers allocated once and overwritten in
+    # place: a working set freed at the end of every slab goes back to the
+    # operating system and is faulted in again by the next one (about
+    # 25,000 minor page faults per N = 3, K = 64 window call).
+    work = np.empty((nodes,) * n_rest, dtype=np.clongdouble)
+    planes = {}
+    slab_spectra = {}
     for k in range(nodes):
-        xi_slab = (z[k],) + tuple(rest_views)
-        if trivial_table:
-            tables = {sigma: {tuple(nu): 1} for sigma in sigmas}
-        else:
-            tables = coefficient_table(tuple(nu), xi_slab, ext)
-        first_column = kernels[0][k] * moments[k, :]
-        for sigma in sigmas:
-            amp = rest_kernel
-            for a, b in inv_lists[sigma]:
-                if b == 1:
-                    amp = amp * axis_view(pair_first[:, k], a - 2, n_rest)
-                else:
-                    amp = amp * pair_rest[(a, b)]
-            table = tables[sigma]
-            for pi in needed_pis:
-                coeff = table.get(pi)
-                if coeff is None:
-                    continue
-                integrand = amp * coeff if not (trivial_table and coeff == 1) else amp
-                rest_tensor = np.einsum(
-                    einsum_sub, integrand, *([moments] * n_rest), optimize=True
+        if not trivial_table:
+            tables = coefficient_table(nu, (z[k],) + tuple(rest_views), ext)
+            sums = {}
+            for (tau, axes, _), amp in zip(orders, amps):
+                for j in range(n):
+                    table = tables[tau[:j] + (1,) + tau[j:]]
+                    for pi in needed_pis:
+                        coeff = table.get(pi)
+                        if coeff is None:
+                            continue
+                        if np.ndim(coeff):
+                            coeff = coeff.transpose(axes)
+                        if (j, pi) in sums:
+                            sums[(j, pi)] += np.multiply(amp, coeff, out=work)
+                        else:
+                            if (j, pi) not in planes:
+                                planes[(j, pi)] = np.empty_like(work)
+                            sums[(j, pi)] = np.multiply(amp, coeff, out=planes[(j, pi)])
+        # first-variable pair factors of the entries left of the 1, and
+        # the first variable's own kernel
+        weights = [kernels[0][k]]
+        for m in range(n_rest):
+            weights.append(weights[-1] * axis_view(pair_first[:, k], m, n_rest))
+        for (j, pi), plane in sums.items():
+            plane = np.multiply(plane, weights[j], out=work)
+            # transform one axis at a time, keeping only the needed modes
+            for axis in reversed(range(n_rest)):
+                plane = scipy.fft.ifft(plane, axis=axis, norm="forward", overwrite_x=True)
+                plane = plane.take(axis_modes[j][axis], axis=axis)
+            if (j, pi) not in slab_spectra:
+                slab_spectra[(j, pi)] = np.zeros(
+                    (nodes, len(plane_modes[j][0])), dtype=np.clongdouble
                 )
-                term = first_column.reshape((-1,) + (1,) * n_rest) * rest_tensor
-                total, comp = tensors[(sigma, pi)]
-                total, comp = _compensated_add(total, comp, term)
-                tensors[(sigma, pi)] = (total, comp)
+            slab_spectra[(j, pi)][k] = plane[plane_modes[j]]
 
-    for k in live:
-        x, pi = targets[k]
-        pi = tuple(pi)
-        acc = np.clongdouble(0)
-        for sigma in sigmas:
-            total, comp = tensors[(sigma, pi)]
-            tensor = total + comp
-            sigma_inv = inverse(sigma)
-            idx = tuple(site_index[x[sigma_inv[v - 1] - 1]] for v in range(1, n + 1))
-            acc = acc + tensor[idx]
-        out[k] = complex(acc)
-    return out
+    # the last transform runs along the slab index, i.e. along axis j
+    values = np.zeros(len(targets), dtype=np.clongdouble)
+    rows_of = {pi: np.flatnonzero([p == pi for p in pis]) for pi in needed_pis}
+    for (j, pi), spectra in slab_spectra.items():
+        spectrum = scipy.fft.ifft(spectra, axis=0, norm="forward")
+        rows = rows_of[pi]
+        values[rows] += spectrum[modes[rows, j], plane_slot[j][rows]]
+    return [complex(v) for v in scale * values], float(radius)
 
 
 def _as_float(value: complex, context: str) -> float:
@@ -318,7 +396,7 @@ def transition_probability(
     spec: ContourSpec | None = None,
 ) -> float:
     """P(particles at x with labeling pi at time t | started at y with nu)."""
-    value = _evaluate(tuple(y), tuple(nu), [(tuple(x), tuple(pi))], rates, t, spec)[0]
+    value = _evaluate(tuple(y), tuple(nu), [(tuple(x), tuple(pi))], rates, t, spec).values[0]
     return _as_float(value, f"P({x}, {pi})")
 
 
@@ -343,10 +421,13 @@ def transition_probabilities(
     t: float,
     spec: ContourSpec | None = None,
 ) -> list[TargetValue]:
-    values = _evaluate(tuple(y), tuple(nu), targets, rates, t, spec)
+    return _target_values(targets, _evaluate(tuple(y), tuple(nu), targets, rates, t, spec))
+
+
+def _target_values(targets, evaluation: Evaluation) -> list[TargetValue]:
     return [
         TargetValue(sites=tuple(x), species=tuple(pi), value=v.real, imag=v.imag)
-        for (x, pi), v in zip(targets, values)
+        for (x, pi), v in zip(targets, evaluation.values)
     ]
 
 
@@ -380,20 +461,18 @@ def distribution_over_window(
     orbit = species_orbit(nu)
     targets = _window_targets(window, len(y), orbit)
     spec = spec if spec is not None else ContourSpec(dimension=len(y))
-    values = transition_probabilities(y, nu, targets, rates, t, spec)
-    ext = _extended_rates(rates)
-    min_exponent = min(sum(x) for x, _ in targets) - sum(y)
-    radius = _resolve_radius(spec, ext, t, min_exponent, len(y))
+    evaluation = _evaluate(y, nu, targets, rates, t, spec)
     return DistributionReport(
         initial_sites=y,
         initial_species=nu,
         p=float(rates.p),
         time=float(t),
-        radius=float(radius),
+        radius=evaluation.radius,
         nodes=spec.nodes,
         window=window,
         leakage=leakage_bound(len(y), t, max(delta, 0)),
-        values=tuple(values),
+        values=tuple(_target_values(targets, evaluation)),
+        mirror_radius=evaluation.mirror_radius,
     )
 
 
@@ -407,8 +486,9 @@ def delta_recovery(
 ) -> DeltaReport:
     """At t = 0 the distribution must be a point mass at the start.  Runs
     the full integral over a window around the start and doubles the node
-    count until the worst deviation from the Kronecker delta passes tol
-    (or the node cap is hit)."""
+    count until the worst deviation from the Kronecker delta passes tol.
+    When the node cap or the slab budget stops the doubling first, the
+    report is returned failed."""
     y = tuple(y)
     nu = tuple(nu)
     n = len(y)
@@ -418,18 +498,22 @@ def delta_recovery(
     radius = spec.radius if spec is not None else None
     while True:
         run_spec = ContourSpec(nodes=nodes, radius=radius, dimension=n)
-        values = _evaluate(y, nu, targets, rates, 0.0, run_spec)
+        evaluation = _evaluate(y, nu, targets, rates, 0.0, run_spec)
         worst = 0.0
-        for (x, pi), v in zip(targets, values):
+        for (x, pi), v in zip(targets, evaluation.values):
             want = 1.0 if (x == y and pi == nu) else 0.0
             worst = max(worst, abs(v.real - want), abs(v.imag))
-        ext = _extended_rates(rates)
-        used_radius = float(
-            _resolve_radius(run_spec, ext, 0.0, min(sum(x) for x, _ in targets) - sum(y), n)
-        )
-        if worst <= tol or nodes >= MAX_NODES:
+        if (
+            worst <= tol
+            or nodes >= MAX_NODES
+            or (2 * nodes) ** (n - 1) > MAX_SLAB_POINTS
+        ):
             return DeltaReport(
-                max_residual=worst, nodes=nodes, radius=used_radius, tolerance=tol
+                max_residual=worst,
+                nodes=nodes,
+                radius=evaluation.radius,
+                tolerance=tol,
+                mirror_radius=evaluation.mirror_radius,
             )
         nodes *= 2
 
@@ -518,9 +602,9 @@ def master_equation_residual(
     flows = predecessor_flows(target, rates)
     sources = sorted(flows)
     batch = sources + [target]
-    here = _evaluate(y, nu, batch, rates, t, spec)
-    plus = _evaluate(y, nu, [target], rates, t + dt, spec)[0]
-    minus = _evaluate(y, nu, [target], rates, t - dt, spec)[0]
+    here = _evaluate(y, nu, batch, rates, t, spec).values
+    plus = _evaluate(y, nu, [target], rates, t + dt, spec).values[0]
+    minus = _evaluate(y, nu, [target], rates, t - dt, spec).values[0]
     lhs = (plus.real - minus.real) / (2 * dt)
     rhs = sum(flows[s] * v.real for s, v in zip(sources, here))
     rhs -= exit_rate(target, rates) * here[-1].real

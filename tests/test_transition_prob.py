@@ -24,6 +24,7 @@ from asep_exact import (
     transition_probabilities,
     transition_probability,
 )
+from asep_exact import transition_prob
 from asep_exact.permutations import all_permutations, inversion_classes
 from asep_exact.transition_prob import _evaluate
 
@@ -63,6 +64,17 @@ def test_delta_recovery_small():
     assert rep.max_residual <= 1e-10
 
 
+def test_delta_recovery_fails_at_slab_budget(monkeypatch):
+    # doubling 8 -> 16 nodes would exceed the K^(N-1) slab budget: the
+    # report comes back failed at 8 nodes instead of raising
+    monkeypatch.setattr(transition_prob, "MAX_SLAB_POINTS", 8**2)
+    spec = ContourSpec(nodes=8, dimension=3)
+    rep = delta_recovery((0, 2, 5), (1, 2, 1), R07, tol=1e-12, spec=spec)
+    assert not rep.passed
+    assert rep.nodes == 8
+    assert rep.max_residual > 1e-12
+
+
 def test_delta_recovery_single_species_tasep():
     rep = delta_recovery((0, 1), (1, 1), TASEP)
     assert rep.passed
@@ -71,9 +83,8 @@ def test_delta_recovery_single_species_tasep():
 def test_distribution_window_mass_and_agreement():
     report = distribution_over_window((0, 1), (2, 1), R05, 0.4)
     assert report.total_mass == pytest.approx(1.0, abs=1e-9)
-    # one shared contour serves the whole window, so deep-tail targets
-    # (mass ~ 1e-29) sit at the extended-precision roundoff floor, around
-    # 1e-8 absolute; mass-bearing targets are far inside 1e-9
+    # mass-bearing targets are far inside 1e-9; the tails are pinned by
+    # test_whole_window_matches_oracle
     assert report.max_imag < 1e-6
     oracle, _, _ = oracle_distribution((0, 1), (2, 1), R05, 0.4)
     for tv in report.values:
@@ -82,6 +93,32 @@ def test_distribution_window_mass_and_agreement():
             assert tv.value == pytest.approx(expect, abs=1e-9)
         else:
             assert abs(tv.value - expect) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "y, nu, p, t",
+    [((0, 1), nu, p, 1.0) for nu in ((2, 1), (1, 1)) for p in (0.5, 0.7, 1.0)]
+    + [((0, 1, 2), (2, 1, 2), 0.5, 0.2)],
+)
+def test_whole_window_matches_oracle(y, nu, p, t):
+    # every target of the window, far tails included: left-displaced
+    # targets come from the mirrored lattice with their own radius
+    rates = RateParams.from_p(p)
+    oracle, window, _ = oracle_distribution(y, nu, rates, t, leak_tol=1e-10)
+    report = distribution_over_window(y, nu, rates, t, window=window)
+    worst = max(
+        abs(tv.value - oracle.get((tv.sites, tv.species), 0.0)) for tv in report.values
+    )
+    assert worst <= 1e-8
+    assert abs(report.total_mass - 1) <= report.leakage + 1e-8
+    left = [tv for tv in report.values if sum(tv.sites) < sum(y)]
+    assert left
+    if p == 1.0:
+        # TASEP particles never move left
+        assert all(tv.value == 0.0 and tv.imag == 0.0 for tv in left)
+        assert report.mirror_radius is None
+    else:
+        assert report.mirror_radius is not None
 
 
 def test_orbit_mismatch_is_structural_zero():
