@@ -15,7 +15,8 @@ command), and ``prob``/``oracle``/``compare`` accept a problem file:
      "quad": {"nodes": 64, "radius": null}}
 
 Both documents are schema-validated with unknown fields rejected before
-anything runs.
+anything runs.  Each report is a frozen dataclass below, and its published
+schema is generated from that dataclass.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from typing import Literal
 
 import jsonschema
 
@@ -34,8 +38,8 @@ from . import __version__
 from .bethe_algebra import BethePoleError, RateParams
 from .contour_quadrature import ContourSpec
 from .markov_oracle import oracle_distribution, window_for
+from .mc_simulator import CellCheck, simulate
 from .mc_simulator import compare as mc_compare
-from .mc_simulator import simulate
 from .permutations import all_permutations, inversion_classes
 from .species_coeff import (
     check_braid_relations,
@@ -48,6 +52,8 @@ from .transition_prob import (
     _evaluate,
     _target_values,
     inversion_class_sum,
+    sigma_summand,
+    summand_radius,
 )
 
 EXIT_OK = 0
@@ -66,6 +72,7 @@ COMMANDS = (
 )
 
 _INT_ARRAY = {"type": "array", "items": {"type": "integer"}, "minItems": 1}
+_WINDOW = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
 _RATE = {"type": ["number", "string"]}
 
 PROBLEM_SCHEMA = {
@@ -89,12 +96,7 @@ PROBLEM_SCHEMA = {
                 "additionalProperties": False,
             },
         },
-        "window": {
-            "type": "array",
-            "items": {"type": "integer"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
+        "window": _WINDOW,
         "quad": {
             "type": "object",
             "properties": {
@@ -121,7 +123,7 @@ MANIFEST_SCHEMA = {
         "problem": {"type": "string"},
         "x": _INT_ARRAY,
         "pi": _INT_ARRAY,
-        "window": PROBLEM_SCHEMA["properties"]["window"],
+        "window": _WINDOW,
         "nodes": {"type": "integer", "minimum": 8},
         "radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "quad_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -137,7 +139,6 @@ MANIFEST_SCHEMA = {
         "z_threshold": {"type": "number", "exclusiveMinimum": 0},
         "min_expected": {"type": "number", "exclusiveMinimum": 0},
         "reference": {"enum": ["oracle", "formula"]},
-        "threads": {"type": "integer", "minimum": 1},
         "out": {"type": "string"},
         "csv": {"type": "string"},
     },
@@ -145,306 +146,223 @@ MANIFEST_SCHEMA = {
     "additionalProperties": False,
 }
 
-_QUAD_FIELDS = {
-    "type": "object",
-    "properties": {
-        "nodes": {"type": "integer"},
-        "radius": {"type": ["number", "null"]},
-        "mirror_radius": {"type": "number"},
-        "radius_rule": {"enum": ["balanced", "explicit"]},
-    },
-    "required": ["nodes", "radius"],
-    "additionalProperties": False,
+# --- reports: one frozen dataclass each; REPORT_SCHEMAS is generated -----
+
+
+@dataclass(frozen=True)
+class Initial:
+    sites: tuple[int, ...]
+    species: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    nodes: int
+    radius: float | None
+    radius_rule: Literal["balanced", "explicit"]
+    mirror_radius: float | None = None
+
+    @classmethod
+    def of(cls, spec: ContourSpec, radius, mirror_radius=None, nodes=None):
+        return cls(
+            nodes=spec.nodes if nodes is None else nodes,
+            radius=radius,
+            radius_rule="explicit" if spec.radius is not None else "balanced",
+            mirror_radius=mirror_radius,
+        )
+
+
+@dataclass(frozen=True)
+class TargetRow:
+    sites: tuple[int, ...]
+    species: tuple[int, ...]
+    value: float
+    imag: float
+    oracle: float | None = None
+
+
+@dataclass(frozen=True)
+class BClassRow:
+    entries: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    class_sum: float
+    member_sums: tuple[float, ...] | None = None
+
+
+@dataclass(frozen=True)
+class HistogramCell:
+    sites: tuple[int, ...]
+    species: tuple[int, ...]
+    count: int
+    frequency: float
+
+
+_report = dataclass(frozen=True, kw_only=True)
+
+
+@_report
+class ProbReport:
+    command: Literal["prob"] = "prob"
+    formula: Literal["multispecies-contour-sum"] = "multispecies-contour-sum"
+    p: float
+    t: float
+    initial: Initial
+    quadrature: Quadrature
+    window: tuple[int, int] | None = None
+    leakage: float | None = None
+    targets: tuple[TargetRow, ...]
+    total_value: float
+    max_imag: float
+
+
+@_report
+class VerifyDeltaReport:
+    command: Literal["verify-delta"] = "verify-delta"
+    formula: Literal["contour-sum-at-time-zero"] = "contour-sum-at-time-zero"
+    p: float
+    initial: Initial
+    margin: int
+    tolerance: float
+    quadrature: Quadrature
+    max_residual: float
+    passed: bool
+
+
+@_report
+class VerifyBraidReport:
+    command: Literal["verify-braid"] = "verify-braid"
+    formula: Literal["exchange-operator-braid-relations"] = (
+        "exchange-operator-braid-relations"
+    )
+    n: int
+    p: str
+    points: int
+    seed: int
+    checks: int
+    passed: bool
+    counterexample: dict | None = None
+
+
+@_report
+class VerifyBClassesReport:
+    command: Literal["verify-b-classes"] = "verify-b-classes"
+    formula: Literal["inversion-class-cancellation"] = "inversion-class-cancellation"
+    n: int
+    p: float
+    tolerance: float
+    initial: tuple[int, ...]
+    target: tuple[int, ...]
+    quadrature: Quadrature
+    classes: tuple[BClassRow, ...]
+    passed: bool
+
+
+@_report
+class VerifySecondClassReport:
+    command: Literal["verify-second-class"] = "verify-second-class"
+    formula: Literal["second-class-closed-forms"] = "second-class-closed-forms"
+    max_n: int
+    p: str
+    checks: int
+    outside_validity: int
+    passed: bool
+    counterexample: dict | None = None
+
+
+@_report
+class OracleReport:
+    command: Literal["oracle"] = "oracle"
+    formula: Literal["finite-window-uniformization"] = "finite-window-uniformization"
+    p: float
+    t: float
+    initial: Initial
+    window: tuple[int, int]
+    leakage: float
+    targets: tuple[TargetRow, ...]
+    total_value: float
+
+
+@_report
+class SimulateReport:
+    command: Literal["simulate"] = "simulate"
+    formula: Literal["uniformized-poisson-clock"] = "uniformized-poisson-clock"
+    p: float
+    t: float
+    initial: Initial
+    trials: int
+    seed: int
+    cells: tuple[HistogramCell, ...]
+
+
+@_report
+class CompareReport:
+    command: Literal["compare"] = "compare"
+    formula: Literal["binomial-z-scores"] = "binomial-z-scores"
+    reference: Literal["oracle", "formula"]
+    p: float
+    t: float
+    initial: Initial
+    trials: int
+    seed: int
+    z_threshold: float
+    min_expected: float
+    checked: int
+    max_abs_z: float
+    flagged: tuple[CellCheck, ...]
+    passed: bool
+
+
+_JSON_TYPES = {
+    bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"
 }
 
-_TARGET_ROW = {
-    "type": "object",
-    "properties": {
-        "sites": _INT_ARRAY,
-        "species": _INT_ARRAY,
-        "value": {"type": "number"},
-        "imag": {"type": "number"},
-        "oracle": {"type": "number"},
-    },
-    "required": ["sites", "species", "value", "imag"],
-    "additionalProperties": False,
-}
 
+def _schema(tp) -> dict:
+    """JSON schema of a report type.  A dataclass field defaulting to None
+    is optional (and left out of the report when None); every other field
+    is required, ``X | None`` ones nullable."""
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        properties, required = {}, []
+        for f in fields(tp):
+            if f.default is None:
+                properties[f.name] = _schema(typing.get_args(hints[f.name])[0])
+            else:
+                properties[f.name] = _schema(hints[f.name])
+                required.append(f.name)
+        return {
+            "type": "object",
+            "properties": properties,
+            "required": required,
+            "additionalProperties": False,
+        }
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        return {"const": args[0]} if len(args) == 1 else {"enum": list(args)}
+    if origin is types.UnionType:
+        inner = _schema(args[0])
+        return dict(inner, type=[inner["type"], "null"])
+    if origin is tuple:
+        if args == (int, int):
+            return _WINDOW
+        if args == (int, ...):
+            return _INT_ARRAY
+        return {"type": "array", "items": _schema(args[0])}
+    return {"type": _JSON_TYPES[tp]}
+
+
+REPORTS = (
+    ProbReport,
+    VerifyDeltaReport,
+    VerifyBraidReport,
+    VerifyBClassesReport,
+    VerifySecondClassReport,
+    OracleReport,
+    SimulateReport,
+    CompareReport,
+)
 REPORT_SCHEMAS = {
-    "prob": {
-        "title": "prob-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "prob"},
-            "formula": {"const": "multispecies-contour-sum"},
-            "p": {"type": "number"},
-            "t": {"type": "number"},
-            "initial": {
-                "type": "object",
-                "properties": {"sites": _INT_ARRAY, "species": _INT_ARRAY},
-                "required": ["sites", "species"],
-                "additionalProperties": False,
-            },
-            "quadrature": _QUAD_FIELDS,
-            "window": PROBLEM_SCHEMA["properties"]["window"],
-            "leakage": {"type": "number"},
-            "targets": {"type": "array", "items": _TARGET_ROW},
-            "total_value": {"type": "number"},
-            "max_imag": {"type": "number"},
-        },
-        "required": [
-            "command",
-            "formula",
-            "p",
-            "t",
-            "initial",
-            "quadrature",
-            "targets",
-            "total_value",
-            "max_imag",
-        ],
-        "additionalProperties": False,
-    },
-    "verify-delta": {
-        "title": "verify-delta-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "verify-delta"},
-            "formula": {"const": "contour-sum-at-time-zero"},
-            "p": {"type": "number"},
-            "initial": {
-                "type": "object",
-                "properties": {"sites": _INT_ARRAY, "species": _INT_ARRAY},
-                "required": ["sites", "species"],
-                "additionalProperties": False,
-            },
-            "margin": {"type": "integer"},
-            "tolerance": {"type": "number"},
-            "quadrature": _QUAD_FIELDS,
-            "max_residual": {"type": "number"},
-            "passed": {"type": "boolean"},
-        },
-        "required": [
-            "command",
-            "formula",
-            "p",
-            "initial",
-            "margin",
-            "tolerance",
-            "quadrature",
-            "max_residual",
-            "passed",
-        ],
-        "additionalProperties": False,
-    },
-    "verify-braid": {
-        "title": "verify-braid-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "verify-braid"},
-            "formula": {"const": "exchange-operator-braid-relations"},
-            "n": {"type": "integer"},
-            "p": {"type": "string"},
-            "points": {"type": "integer"},
-            "seed": {"type": "integer"},
-            "checks": {"type": "integer"},
-            "passed": {"type": "boolean"},
-            "counterexample": {"type": ["object", "null"]},
-        },
-        "required": ["command", "formula", "n", "p", "points", "seed", "checks", "passed"],
-        "additionalProperties": False,
-    },
-    "verify-b-classes": {
-        "title": "verify-b-classes-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "verify-b-classes"},
-            "formula": {"const": "inversion-class-cancellation"},
-            "n": {"type": "integer"},
-            "p": {"type": "number"},
-            "tolerance": {"type": "number"},
-            "initial": _INT_ARRAY,
-            "target": _INT_ARRAY,
-            "quadrature": _QUAD_FIELDS,
-            "classes": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "entries": _INT_ARRAY,
-                        "members": {"type": "array", "items": _INT_ARRAY},
-                        "class_sum": {"type": "number"},
-                        "member_sums": {
-                            "type": ["array", "null"],
-                            "items": {"type": "number"},
-                        },
-                    },
-                    "required": ["entries", "members", "class_sum"],
-                    "additionalProperties": False,
-                },
-            },
-            "passed": {"type": "boolean"},
-        },
-        "required": [
-            "command",
-            "formula",
-            "n",
-            "p",
-            "tolerance",
-            "initial",
-            "target",
-            "quadrature",
-            "classes",
-            "passed",
-        ],
-        "additionalProperties": False,
-    },
-    "verify-second-class": {
-        "title": "verify-second-class-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "verify-second-class"},
-            "formula": {"const": "second-class-closed-forms"},
-            "max_n": {"type": "integer"},
-            "p": {"type": "string"},
-            "checks": {"type": "integer"},
-            "outside_validity": {"type": "integer"},
-            "passed": {"type": "boolean"},
-            "counterexample": {"type": ["object", "null"]},
-        },
-        "required": [
-            "command",
-            "formula",
-            "max_n",
-            "p",
-            "checks",
-            "outside_validity",
-            "passed",
-        ],
-        "additionalProperties": False,
-    },
-    "oracle": {
-        "title": "oracle-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "oracle"},
-            "formula": {"const": "finite-window-uniformization"},
-            "p": {"type": "number"},
-            "t": {"type": "number"},
-            "initial": {
-                "type": "object",
-                "properties": {"sites": _INT_ARRAY, "species": _INT_ARRAY},
-                "required": ["sites", "species"],
-                "additionalProperties": False,
-            },
-            "window": PROBLEM_SCHEMA["properties"]["window"],
-            "leakage": {"type": "number"},
-            "targets": {"type": "array", "items": _TARGET_ROW},
-            "total_value": {"type": "number"},
-        },
-        "required": [
-            "command",
-            "formula",
-            "p",
-            "t",
-            "initial",
-            "window",
-            "leakage",
-            "targets",
-            "total_value",
-        ],
-        "additionalProperties": False,
-    },
-    "simulate": {
-        "title": "simulate-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "simulate"},
-            "formula": {"const": "uniformized-poisson-clock"},
-            "p": {"type": "number"},
-            "t": {"type": "number"},
-            "initial": {
-                "type": "object",
-                "properties": {"sites": _INT_ARRAY, "species": _INT_ARRAY},
-                "required": ["sites", "species"],
-                "additionalProperties": False,
-            },
-            "trials": {"type": "integer"},
-            "seed": {"type": "integer"},
-            "cells": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "sites": _INT_ARRAY,
-                        "species": _INT_ARRAY,
-                        "count": {"type": "integer"},
-                        "frequency": {"type": "number"},
-                    },
-                    "required": ["sites", "species", "count", "frequency"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["command", "formula", "p", "t", "initial", "trials", "seed", "cells"],
-        "additionalProperties": False,
-    },
-    "compare": {
-        "title": "compare-report",
-        "type": "object",
-        "properties": {
-            "command": {"const": "compare"},
-            "formula": {"const": "binomial-z-scores"},
-            "reference": {"enum": ["oracle", "formula"]},
-            "p": {"type": "number"},
-            "t": {"type": "number"},
-            "initial": {
-                "type": "object",
-                "properties": {"sites": _INT_ARRAY, "species": _INT_ARRAY},
-                "required": ["sites", "species"],
-                "additionalProperties": False,
-            },
-            "trials": {"type": "integer"},
-            "seed": {"type": "integer"},
-            "z_threshold": {"type": "number"},
-            "min_expected": {"type": "number"},
-            "checked": {"type": "integer"},
-            "max_abs_z": {"type": "number"},
-            "flagged": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "sites": _INT_ARRAY,
-                        "species": _INT_ARRAY,
-                        "count": {"type": "integer"},
-                        "expected": {"type": "number"},
-                        "z": {"type": "number"},
-                    },
-                    "required": ["sites", "species", "count", "expected", "z"],
-                    "additionalProperties": False,
-                },
-            },
-            "passed": {"type": "boolean"},
-        },
-        "required": [
-            "command",
-            "formula",
-            "reference",
-            "p",
-            "t",
-            "initial",
-            "trials",
-            "seed",
-            "z_threshold",
-            "min_expected",
-            "checked",
-            "max_abs_z",
-            "flagged",
-            "passed",
-        ],
-        "additionalProperties": False,
-    },
+    cls.command: {"title": f"{cls.command}-report", **_schema(cls)} for cls in REPORTS
 }
 
 CSV_SCHEMAS = {
@@ -554,6 +472,8 @@ def _problem_from(args):
     rates = _parse_rate(args.p)
     targets = None
     if getattr(args, "x", None) is not None:
+        if getattr(args, "window", None):
+            raise UsageError("give --x or --window, not both")
         pi = _parse_tuple(args.pi) if getattr(args, "pi", None) else nu
         targets = [(_parse_tuple(args.x), pi)]
     window = _parse_window(args.window) if getattr(args, "window", None) else None
@@ -567,56 +487,45 @@ def _parse_window(text):
     return parts
 
 
+def _json(value):
+    """A report as JSON data: dataclasses become objects without their
+    unset optional fields, tuples become arrays."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if is_dataclass(value):
+        return {
+            f.name: _json(v)
+            for f in fields(value)
+            if (v := getattr(value, f.name)) is not None or f.default is not None
+        }
+    return value
+
+
 def _write_report(args, report):
-    _validate(report, REPORT_SCHEMAS[report["command"]], "report (internal)")
+    doc = _json(report)
+    _validate(doc, REPORT_SCHEMAS[report.command], "report (internal)")
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _write_target_csv(path, rows, with_oracle):
+def _write_csv(path, row_type, rows, omit=()):
+    """One line per row, columns in field order except those in ``omit``.
+    Tuples are written space-separated."""
+    names = [f.name for f in fields(row_type) if f.name not in omit]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["sites", "species", "value", "imag"]
-        if with_oracle:
-            header.append("oracle")
-        writer.writerow(header)
+        writer.writerow(names)
         for row in rows:
-            out = [
-                " ".join(map(str, row["sites"])),
-                " ".join(map(str, row["species"])),
-                repr(row["value"]),
-                repr(row["imag"]),
-            ]
-            if with_oracle:
-                out.append(repr(row["oracle"]))
-            writer.writerow(out)
-
-
-def _quad_dict(
-    spec: ContourSpec,
-    radius: float | None,
-    mirror_radius: float | None = None,
-    nodes: int | None = None,
-) -> dict:
-    quad = {
-        "nodes": spec.nodes if nodes is None else nodes,
-        "radius": radius,
-        "radius_rule": "explicit" if spec.radius is not None else "balanced",
-    }
-    if mirror_radius is not None:
-        quad["mirror_radius"] = mirror_radius
-    return quad
+            cells = (getattr(row, name) for name in names)
+            writer.writerow(
+                " ".join(map(str, c)) if isinstance(c, tuple) else c for c in cells
+            )
 
 
 def _radius_text(radius: float | None) -> str:
     return "none" if radius is None else f"{radius:.6f}"
-
-
-def _oracle_lookup(y, nu, rates, t, leak_tol):
-    dist, window, leak = oracle_distribution(y, nu, rates, t, leak_tol=leak_tol)
-    return dist, window, leak
 
 
 def cmd_prob(args) -> int:
@@ -637,46 +546,40 @@ def cmd_prob(args) -> int:
         window_out, leak = report_dist.window, report_dist.leakage
     oracle = None
     if args.with_oracle:
-        oracle, _, _ = _oracle_lookup(y, nu, rates, t, args.leak_tol)
-    rows = []
-    for tv in values:
-        row = {
-            "sites": list(tv.sites),
-            "species": list(tv.species),
-            "value": tv.value,
-            "imag": tv.imag,
-        }
-        if oracle is not None:
-            row["oracle"] = oracle.get((tv.sites, tv.species), 0.0)
-        rows.append(row)
-    report = {
-        "command": "prob",
-        "formula": "multispecies-contour-sum",
-        "p": float(rates.p),
-        "t": t,
-        "initial": {"sites": list(y), "species": list(nu)},
-        "quadrature": _quad_dict(spec, radius, mirror_radius),
-        "targets": rows,
-        "total_value": sum(r["value"] for r in rows),
-        "max_imag": max((abs(r["imag"]) for r in rows), default=0.0),
-    }
-    if window_out is not None:
-        report["window"] = list(window_out)
-        report["leakage"] = leak
+        oracle, _, _ = oracle_distribution(y, nu, rates, t, leak_tol=args.leak_tol)
+    rows = tuple(
+        TargetRow(
+            sites=tv.sites,
+            species=tv.species,
+            value=tv.value,
+            imag=tv.imag,
+            oracle=None if oracle is None else oracle.get((tv.sites, tv.species), 0.0),
+        )
+        for tv in values
+    )
+    report = ProbReport(
+        p=float(rates.p),
+        t=t,
+        initial=Initial(y, nu),
+        quadrature=Quadrature.of(spec, radius, mirror_radius),
+        window=window_out,
+        leakage=leak,
+        targets=rows,
+        total_value=sum(r.value for r in rows),
+        max_imag=max((abs(r.imag) for r in rows), default=0.0),
+    )
     _write_report(args, report)
     if args.csv:
-        _write_target_csv(args.csv, rows, oracle is not None)
+        omit = () if args.with_oracle else ("oracle",)
+        _write_csv(args.csv, TargetRow, rows, omit)
     print(
-        f"prob: {len(rows)} target(s), total {report['total_value']:.12f}, "
-        f"max |imag| {report['max_imag']:.3e}, nodes {spec.nodes}, "
+        f"prob: {len(rows)} target(s), total {report.total_value:.12f}, "
+        f"max |imag| {report.max_imag:.3e}, nodes {spec.nodes}, "
         f"radius {_radius_text(radius)}, mirror_radius {_radius_text(mirror_radius)}"
     )
     for row in rows[: args.print_limit]:
-        extra = f"  oracle {row['oracle']:.12e}" if "oracle" in row else ""
-        print(
-            f"  X={tuple(row['sites'])} pi={tuple(row['species'])}"
-            f"  P={row['value']:.12e}{extra}"
-        )
+        extra = f"  oracle {row.oracle:.12e}" if row.oracle is not None else ""
+        print(f"  X={row.sites} pi={row.species}  P={row.value:.12e}{extra}")
     if len(rows) > args.print_limit:
         print(f"  ... {len(rows) - args.print_limit} more (see --out/--csv)")
     return EXIT_OK
@@ -688,17 +591,15 @@ def cmd_verify_delta(args) -> int:
     nu = _parse_tuple(args.nu) if args.nu else (1,) * len(y)
     spec = _spec_from(args, len(y))
     rep = delta_recovery(y, nu, rates, margin=args.margin, tol=args.quad_tol, spec=spec)
-    report = {
-        "command": "verify-delta",
-        "formula": "contour-sum-at-time-zero",
-        "p": float(rates.p),
-        "initial": {"sites": list(y), "species": list(nu)},
-        "margin": args.margin,
-        "tolerance": args.quad_tol,
-        "quadrature": _quad_dict(spec, rep.radius, rep.mirror_radius, rep.nodes),
-        "max_residual": rep.max_residual,
-        "passed": rep.passed,
-    }
+    report = VerifyDeltaReport(
+        p=float(rates.p),
+        initial=Initial(y, nu),
+        margin=args.margin,
+        tolerance=args.quad_tol,
+        quadrature=Quadrature.of(spec, rep.radius, rep.mirror_radius, rep.nodes),
+        max_residual=rep.max_residual,
+        passed=rep.passed,
+    )
     _write_report(args, report)
     status = "PASS" if rep.passed else "FAIL"
     print(
@@ -742,33 +643,27 @@ def cmd_verify_braid(args) -> int:
         rep = check_braid_relations(args.n, xi, rates)
         checks += rep.checks
         if not rep.passed:
-            counterexample = dict(rep.counterexample)
-            counterexample["xi"] = [str(v) for v in xi]
+            counterexample = {k: str(v) for k, v in rep.counterexample.items()}
+            counterexample["xi"] = str([str(v) for v in xi])
             break
-    passed = counterexample is None
-    report = {
-        "command": "verify-braid",
-        "formula": "exchange-operator-braid-relations",
-        "n": args.n,
-        "p": str(rates.p),
-        "points": args.points,
-        "seed": args.seed,
-        "checks": checks,
-        "passed": passed,
-    }
-    if counterexample is not None:
-        report["counterexample"] = {
-            k: str(v) for k, v in counterexample.items()
-        }
+    report = VerifyBraidReport(
+        n=args.n,
+        p=str(rates.p),
+        points=args.points,
+        seed=args.seed,
+        checks=checks,
+        passed=counterexample is None,
+        counterexample=counterexample,
+    )
     _write_report(args, report)
-    status = "PASS" if passed else "FAIL"
+    status = "PASS" if report.passed else "FAIL"
     print(
         f"verify-braid: {status}  n={args.n} p={rates.p} "
         f"{args.points} random rational points, {checks} exact identities"
     )
     if counterexample:
-        print(f"  first counterexample: {report['counterexample']}")
-    return EXIT_OK if passed else EXIT_FAIL
+        print(f"  first counterexample: {counterexample}")
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_verify_b_classes(args) -> int:
@@ -777,52 +672,45 @@ def cmd_verify_b_classes(args) -> int:
     x = _parse_tuple(args.x)
     n = len(y)
     spec = _spec_from(args, n)
-    from .transition_prob import _extended_rates, _resolve_radius, sigma_summand
-
-    radius = float(
-        _resolve_radius(spec, _extended_rates(rates), 0.0, sum(x) - sum(y), n)
-    )
     classes = []
-    passed = True
     for entries, members in sorted(
         inversion_classes(n).items(), key=lambda kv: sorted(kv[0])
     ):
-        total = inversion_class_sum(y, x, entries, rates, spec)
-        row = {
-            "entries": sorted(entries),
-            "members": [list(m) for m in members],
-            "class_sum": abs(total),
-        }
-        if abs(total) > args.tol:
-            passed = False
+        member_sums = None
         if len(members) == 1:
-            sums = [abs(sigma_summand(y, x, m, rates, 0.0, spec)) for m in members]
-            row["member_sums"] = sums
-            if any(s > args.tol for s in sums):
-                passed = False
-        classes.append(row)
-    report = {
-        "command": "verify-b-classes",
-        "formula": "inversion-class-cancellation",
-        "n": n,
-        "p": float(rates.p),
-        "tolerance": args.tol,
-        "initial": list(y),
-        "target": list(x),
-        "quadrature": _quad_dict(spec, radius),
-        "classes": classes,
-        "passed": passed,
-    }
+            member_sums = (abs(sigma_summand(y, x, members[0], rates, 0.0, spec)),)
+        classes.append(
+            BClassRow(
+                entries=tuple(sorted(entries)),
+                members=tuple(members),
+                class_sum=abs(inversion_class_sum(y, x, entries, rates, spec)),
+                member_sums=member_sums,
+            )
+        )
+    report = VerifyBClassesReport(
+        n=n,
+        p=float(rates.p),
+        tolerance=args.tol,
+        initial=y,
+        target=x,
+        quadrature=Quadrature.of(spec, summand_radius(y, x, rates, 0.0, spec)),
+        classes=tuple(classes),
+        passed=not any(
+            v > args.tol
+            for row in classes
+            for v in (row.class_sum, *(row.member_sums or ()))
+        ),
+    )
     _write_report(args, report)
-    status = "PASS" if passed else "FAIL"
+    status = "PASS" if report.passed else "FAIL"
     print(f"verify-b-classes: {status}  n={n} p={float(rates.p)} tol {args.tol:g}")
     for row in classes:
-        tag = " (each member vanishes)" if "member_sums" in row else ""
+        tag = " (each member vanishes)" if row.member_sums is not None else ""
         print(
-            f"  B={set(row['entries'])}: |class sum| = {row['class_sum']:.3e}"
-            f" over {len(row['members'])} permutation(s){tag}"
+            f"  B={set(row.entries)}: |class sum| = {row.class_sum:.3e}"
+            f" over {len(row.members)} permutation(s){tag}"
         )
-    return EXIT_OK if passed else EXIT_FAIL
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_verify_second_class(args) -> int:
@@ -867,27 +755,23 @@ def cmd_verify_second_class(args) -> int:
                 break
         if counterexample:
             break
-    passed = counterexample is None
-    report = {
-        "command": "verify-second-class",
-        "formula": "second-class-closed-forms",
-        "max_n": args.max_n,
-        "p": str(rates.p),
-        "checks": checks,
-        "outside_validity": outside,
-        "passed": passed,
-    }
-    if counterexample is not None:
-        report["counterexample"] = counterexample
+    report = VerifySecondClassReport(
+        max_n=args.max_n,
+        p=str(rates.p),
+        checks=checks,
+        outside_validity=outside,
+        passed=counterexample is None,
+        counterexample=counterexample,
+    )
     _write_report(args, report)
-    status = "PASS" if passed else "FAIL"
+    status = "PASS" if report.passed else "FAIL"
     print(
         f"verify-second-class: {status}  n up to {args.max_n}, p={rates.p}: "
         f"{checks} exact identities, {outside} outside the validity region"
     )
     if counterexample:
         print(f"  first counterexample: {counterexample}")
-    return EXIT_OK if passed else EXIT_FAIL
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_oracle(args) -> int:
@@ -899,31 +783,24 @@ def cmd_oracle(args) -> int:
         wanted = [(tuple(x), tuple(pi)) for x, pi in targets]
     else:
         wanted = sorted(cfg for cfg, pr in dist.items() if pr >= args.mass_floor)
-    rows = [
-        {
-            "sites": list(x),
-            "species": list(pi),
-            "value": dist.get((x, pi), 0.0),
-            "imag": 0.0,
-        }
+    rows = tuple(
+        TargetRow(sites=x, species=pi, value=dist.get((x, pi), 0.0), imag=0.0)
         for x, pi in wanted
-    ]
-    report = {
-        "command": "oracle",
-        "formula": "finite-window-uniformization",
-        "p": float(rates.p),
-        "t": t,
-        "initial": {"sites": list(y), "species": list(nu)},
-        "window": list(used_window),
-        "leakage": leak,
-        "targets": rows,
-        "total_value": sum(r["value"] for r in rows),
-    }
+    )
+    report = OracleReport(
+        p=float(rates.p),
+        t=t,
+        initial=Initial(y, nu),
+        window=used_window,
+        leakage=leak,
+        targets=rows,
+        total_value=sum(r.value for r in rows),
+    )
     _write_report(args, report)
     if args.csv:
-        _write_target_csv(args.csv, rows, False)
+        _write_csv(args.csv, TargetRow, rows, omit=("oracle",))
     print(
-        f"oracle: {len(rows)} target(s), total {report['total_value']:.12f}, "
+        f"oracle: {len(rows)} target(s), total {report.total_value:.12f}, "
         f"window {used_window}, leakage bound {leak:.3e}"
     )
     return EXIT_OK
@@ -934,39 +811,23 @@ def cmd_simulate(args) -> int:
     y = _parse_tuple(args.y)
     nu = _parse_tuple(args.nu) if args.nu else (1,) * len(y)
     result = simulate(y, nu, rates, float(args.t), args.trials, args.seed)
-    cells = [
-        {
-            "sites": list(cfg[0]),
-            "species": list(cfg[1]),
-            "count": count,
-            "frequency": count / result.trials,
-        }
-        for cfg, count in sorted(result.counts.items())
-    ]
-    report = {
-        "command": "simulate",
-        "formula": "uniformized-poisson-clock",
-        "p": float(rates.p),
-        "t": float(args.t),
-        "initial": {"sites": list(y), "species": list(nu)},
-        "trials": result.trials,
-        "seed": result.seed,
-        "cells": cells,
-    }
+    cells = tuple(
+        HistogramCell(
+            sites=sites, species=species, count=count, frequency=count / result.trials
+        )
+        for (sites, species), count in sorted(result.counts.items())
+    )
+    report = SimulateReport(
+        p=float(rates.p),
+        t=float(args.t),
+        initial=Initial(y, nu),
+        trials=result.trials,
+        seed=result.seed,
+        cells=cells,
+    )
     _write_report(args, report)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sites", "species", "count", "frequency"])
-            for cell in cells:
-                writer.writerow(
-                    [
-                        " ".join(map(str, cell["sites"])),
-                        " ".join(map(str, cell["species"])),
-                        cell["count"],
-                        repr(cell["frequency"]),
-                    ]
-                )
+        _write_csv(args.csv, HistogramCell, cells)
     print(
         f"simulate: {result.trials} trials, seed {result.seed}, "
         f"{len(cells)} distinct final configurations"
@@ -975,10 +836,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rates, t, y, nu, targets, window, spec = _problem_from(args)
+    rates, t, y, nu, _, window, spec = _problem_from(args)
     result = simulate(y, nu, rates, t, args.trials, args.seed)
     if args.reference == "oracle":
-        reference, _, _ = _oracle_lookup(y, nu, rates, t, args.leak_tol)
+        reference, _, _ = oracle_distribution(y, nu, rates, t, leak_tol=args.leak_tol)
     else:
         if window is None:
             window = window_for(y, t, args.leak_tol)
@@ -992,31 +853,20 @@ def cmd_compare(args) -> int:
         z_threshold=args.z_threshold,
         min_expected=args.min_expected,
     )
-    report = {
-        "command": "compare",
-        "formula": "binomial-z-scores",
-        "reference": args.reference,
-        "p": float(rates.p),
-        "t": t,
-        "initial": {"sites": list(y), "species": list(nu)},
-        "trials": args.trials,
-        "seed": args.seed,
-        "z_threshold": rep.z_threshold,
-        "min_expected": rep.min_expected,
-        "checked": len(rep.checked),
-        "max_abs_z": rep.max_abs_z,
-        "flagged": [
-            {
-                "sites": list(c.sites),
-                "species": list(c.species),
-                "count": c.count,
-                "expected": c.expected,
-                "z": c.z,
-            }
-            for c in rep.flagged
-        ],
-        "passed": rep.passed,
-    }
+    report = CompareReport(
+        reference=args.reference,
+        p=float(rates.p),
+        t=t,
+        initial=Initial(y, nu),
+        trials=args.trials,
+        seed=args.seed,
+        z_threshold=rep.z_threshold,
+        min_expected=rep.min_expected,
+        checked=len(rep.checked),
+        max_abs_z=rep.max_abs_z,
+        flagged=rep.flagged,
+        passed=rep.passed,
+    )
     _write_report(args, report)
     status = "PASS" if rep.passed else "FAIL"
     print(
@@ -1040,15 +890,12 @@ def cmd_schema(args) -> int:
 
 def cmd_run(args) -> int:
     manifest = _load_json(args.manifest, MANIFEST_SCHEMA, "manifest")
-    command = manifest.pop("command")
-    prefix, argv = [], [command]
+    argv = [manifest.pop("command")]
     for key, value in manifest.items():
         if value is None:
             continue
         flag = "--" + key.replace("_", "-")
-        if key == "threads":
-            prefix.extend([flag, str(value)])
-        elif key in ("y", "nu", "x", "pi", "window"):
+        if key in ("y", "nu", "x", "pi", "window"):
             argv.extend([flag, ",".join(map(str, value))])
         elif key == "problem":
             argv.append(value)
@@ -1057,7 +904,7 @@ def cmd_run(args) -> int:
                 argv.append(flag)
         else:
             argv.extend([flag, str(value)])
-    return main(prefix + argv)
+    return main(argv)
 
 
 def _add_quad_flags(parser):
@@ -1077,12 +924,6 @@ def build_parser() -> _Parser:
         description=__doc__.splitlines()[0],
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap BLAS worker threads (results are identical at any cap)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     prob = sub.add_parser("prob", help="transition probabilities for targets or a window")
@@ -1150,7 +991,6 @@ def build_parser() -> _Parser:
     oracle.add_argument("--leak-tol", type=float, default=1e-10)
     oracle.add_argument("--mass-floor", type=float, default=1e-12)
     oracle.add_argument("--csv")
-    _add_quad_flags(oracle)
     _add_out_flags(oracle)
     oracle.set_defaults(handler=cmd_oracle)
 
@@ -1171,8 +1011,6 @@ def build_parser() -> _Parser:
     comp.add_argument("--t", type=float, default=None)
     comp.add_argument("--y")
     comp.add_argument("--nu")
-    comp.add_argument("--x")
-    comp.add_argument("--pi")
     comp.add_argument("--window")
     comp.add_argument("--trials", type=int, required=True)
     comp.add_argument("--seed", type=int, required=True)
@@ -1198,9 +1036,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", None):
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
         return args.handler(args)
     except UsageError as exc:
         print(f"asep-exact: error: {exc}", file=sys.stderr)

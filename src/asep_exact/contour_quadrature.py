@@ -19,8 +19,11 @@ For integrands analytic in an annulus around the circle the error decays
 geometrically in K (aliasing onto exponents shifted by multiples of K).
 Everything is evaluated in extended precision (clongdouble): the sums
 cancel down many orders from the individual terms, and float64 roundoff
-would dominate the tolerances this package promises.  Node order is fixed
-and accumulation compensated, so results are reproducible bit for bit.
+would dominate the tolerances this package promises.  Node order is fixed,
+so results are reproducible bit for bit.  ``integrate_tensor`` streams the
+first axis and adds the slab sums with Neumaier compensation; the FFT
+engine in ``transition_prob`` reads its coefficients off extended-precision
+spectra instead and uses no compensated sum.
 """
 
 from __future__ import annotations
@@ -152,21 +155,6 @@ def axis_view(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return values.reshape(shape)
 
 
-def compensated_total(parts) -> complex:
-    """Neumaier-compensated sum of already-reduced partial values, in the
-    order given."""
-    total = np.clongdouble(0)
-    comp = np.clongdouble(0)
-    for x in parts:
-        s = total + x
-        if abs(total) >= abs(x):
-            comp += (total - s) + x
-        else:
-            comp += (x - s) + total
-        total = s
-    return complex(total + comp)
-
-
 def integrate_tensor(f, spec: ContourSpec, rates: RateParams | None = None) -> complex:
     """Mean over all node tuples of f(xi_1, ..., xi_N) times the product
     of the nodes.
@@ -193,8 +181,12 @@ def integrate_tensor(f, spec: ContourSpec, rates: RateParams | None = None) -> c
     rest_weight = np.ones((1,) * (n - 1), dtype=np.clongdouble)
     for a in range(n - 1):
         rest_weight = rest_weight * axis_view(weight, a, n - 1)
-    parts = []
+    # Neumaier-compensated sum of the slab sums, in node order
+    total = np.clongdouble(0)
+    comp = np.clongdouble(0)
     for k in range(spec.nodes):
-        vals = f(z[k], *rest) * rest_weight
-        parts.append(vals.sum() * weight[k])
-    return compensated_total(parts)
+        part = (f(z[k], *rest) * rest_weight).sum() * weight[k]
+        s = total + part
+        comp += (total - s) + part if abs(total) >= abs(part) else (part - s) + total
+        total = s
+    return complex(total + comp)

@@ -49,6 +49,7 @@ from .contour_quadrature import (
     assert_admissible,
     axis_view,
     balanced_radius,
+    integrate_tensor,
     node_points,
 )
 from .markov_oracle import (
@@ -518,6 +519,20 @@ def delta_recovery(
         nodes *= 2
 
 
+def summand_radius(
+    y: tuple[int, ...],
+    x: tuple[int, ...],
+    rates: RateParams,
+    t: float = 0.0,
+    spec: ContourSpec | None = None,
+) -> float:
+    """The contour radius ``sigma_summand`` integrates on for target x:
+    the explicit radius of ``spec``, else the balanced one."""
+    n = len(y)
+    spec = spec if spec is not None else ContourSpec(dimension=n)
+    return float(_resolve_radius(spec, _extended_rates(rates), t, sum(x) - sum(y), n))
+
+
 def sigma_summand(
     y: tuple[int, ...],
     x: tuple[int, ...],
@@ -533,33 +548,28 @@ def sigma_summand(
     n = len(y)
     spec = spec if spec is not None else ContourSpec(dimension=n)
     ext = _extended_rates(rates)
-    radius = _resolve_radius(spec, ext, t, sum(x) - sum(y), n)
-    nodes = spec.nodes
-    z = node_points(radius, nodes)
-    kernels = _axis_kernels(z, y, ext, t, nodes)
     sigma_inv = inverse(sigma)
-    # fold the site exponent of each variable into its kernel
-    folded = [
-        kernels[v - 1] * z ** int(x[sigma_inv[v - 1] - 1]) for v in range(1, n + 1)
-    ]
-    if n == 1:
-        return complex(np.sum(folded[0]))
-    views = [axis_view(folded[v], v, n) for v in range(n)]
-    xi = tuple(axis_view(z, v, n) for v in range(n))
-    total = np.clongdouble(0)
-    comp = np.clongdouble(0)
-    for k in range(nodes):
-        grid = views[0][k]
-        for v in range(1, n):
-            grid = grid * views[v]
-        xi_slab = (z[k],) + xi[1:]
-        for a, b in sorted(inversions(sigma)):
-            grid = grid * s_factor(xi_slab[a - 1], xi_slab[b - 1], ext)
-        term = np.sum(grid)
-        s = total + term
-        comp += (total - s) + term if abs(total) >= abs(term) else (term - s) + total
-        total = s
-    return complex(total + comp)
+    # xi_v^(x at slot sigma^-1(v) - y_v - 1); integrate_tensor supplies
+    # the dxi = xi * (node spacing) weight
+    powers = [int(x[sigma_inv[v] - 1]) - int(y[v]) - 1 for v in range(n)]
+    pairs = sorted(inversions(sigma))
+    time = np.longdouble(t)
+
+    def integrand(*xi):
+        value = 1
+        for u, power in zip(xi, powers):
+            factor = u**power
+            if t:
+                factor = factor * np.exp(dispersion(u, ext) * time)
+            value = value * factor
+        for a, b in pairs:
+            value = value * s_factor(xi[a - 1], xi[b - 1], ext)
+        return value
+
+    radius = summand_radius(y, x, rates, t, spec)
+    return integrate_tensor(
+        integrand, ContourSpec(nodes=spec.nodes, radius=radius, dimension=n), ext
+    )
 
 
 def inversion_class_sum(

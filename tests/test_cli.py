@@ -242,3 +242,34 @@ def test_verify_second_class_cli(tmp_path):
     report = json.loads(out.read_text())
     jsonschema.validate(report, cli.REPORT_SCHEMAS["verify-second-class"])
     assert report["passed"] and report["checks"] > 0
+
+
+def test_prob_rejects_targets_and_window_together(capsys):
+    code = run(
+        ["prob", "--p", "0.5", "--t", "0.3", "--y", "0,1", "--nu", "1,2",
+         "--x", "0,1", "--window", "-3,4"]
+    )
+    assert code == 1
+    assert "not both" in capsys.readouterr().err
+
+
+def test_simulate_and_compare_reports_match_schemas(tmp_path):
+    sim_out, sim_csv = tmp_path / "sim.json", tmp_path / "sim.csv"
+    code = run(
+        ["simulate", "--p", "0.7", "--t", "0.4", "--y", "0,1", "--nu", "2,1",
+         "--trials", "500", "--seed", "5", "--out", str(sim_out), "--csv", str(sim_csv)]
+    )
+    assert code == 0
+    jsonschema.validate(json.loads(sim_out.read_text()), cli.REPORT_SCHEMAS["simulate"])
+    with open(sim_csv) as fh:
+        assert next(csv.reader(fh)) == cli.CSV_SCHEMAS["histogram"].split(",")
+    cmp_out = tmp_path / "cmp.json"
+    code = run(
+        ["compare", "--p", "0.7", "--t", "0.4", "--y", "0,1", "--nu", "2,1",
+         "--trials", "20000", "--seed", "77", "--z-threshold", "1",
+         "--out", str(cmp_out)]
+    )
+    assert code == 2
+    report = json.loads(cmp_out.read_text())
+    jsonschema.validate(report, cli.REPORT_SCHEMAS["compare"])
+    assert report["flagged"] and not report["passed"]
