@@ -8,13 +8,16 @@ stdout; machine artifacts are written only via --out (JSON report) and
 settings, seeds, and tolerances needed to re-run them bit for bit.
 
 Commands can be driven by flags or by a JSON manifest (the ``run``
-command), and ``prob``/``oracle``/``compare`` accept a problem file:
+command), and ``prob``/``oracle``/``compare`` accept a problem file in
+place of the problem flags:
 
     {"p": 0.7, "t": 1.0, "Y": [0, 1, 2], "nu": [2, 1, 2],
      "targets": [{"X": [0, 1, 3], "pi": [1, 2, 2]}],   # or "window": [lo, hi]
      "quad": {"nodes": 64, "radius": null}}
 
-Both documents are schema-validated with unknown fields rejected before
+Each input is declared once, in INPUTS, with the bounds that flags and
+manifests alike are checked against; problem flags become a problem
+document read exactly like a file.  Unknown fields are rejected before
 anything runs.  Each report is a frozen dataclass below, and its published
 schema is generated from that dataclass.
 """
@@ -60,17 +63,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 
-COMMANDS = (
-    "prob",
-    "verify-delta",
-    "verify-braid",
-    "verify-b-classes",
-    "verify-second-class",
-    "oracle",
-    "simulate",
-    "compare",
-)
-
 _INT_ARRAY = {"type": "array", "items": {"type": "integer"}, "minItems": 1}
 _WINDOW = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
 _RATE = {"type": ["number", "string"]}
@@ -110,40 +102,43 @@ PROBLEM_SCHEMA = {
     "additionalProperties": False,
 }
 
-MANIFEST_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "run-manifest",
-    "type": "object",
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "p": _RATE,
-        "t": {"type": "number", "minimum": 0},
-        "y": _INT_ARRAY,
-        "nu": _INT_ARRAY,
-        "problem": {"type": "string"},
-        "x": _INT_ARRAY,
-        "pi": _INT_ARRAY,
-        "window": _WINDOW,
-        "nodes": {"type": "integer", "minimum": 8},
-        "radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
-        "quad_tol": {"type": "number", "exclusiveMinimum": 0},
-        "margin": {"type": "integer", "minimum": 0},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "leak_tol": {"type": "number", "exclusiveMinimum": 0},
-        "with_oracle": {"type": "boolean"},
-        "n": {"type": "integer", "minimum": 2},
-        "points": {"type": "integer", "minimum": 1},
-        "max_n": {"type": "integer", "minimum": 2},
-        "trials": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "z_threshold": {"type": "number", "exclusiveMinimum": 0},
-        "min_expected": {"type": "number", "exclusiveMinimum": 0},
-        "reference": {"enum": ["oracle", "formula"]},
-        "out": {"type": "string"},
-        "csv": {"type": "string"},
-    },
-    "required": ["command"],
-    "additionalProperties": False,
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+# Every CLI input, declared once: its JSON schema, bounds included, and its
+# help text.  Subcommand flags and MANIFEST_SCHEMA are built from this
+# table, and parsed flags are checked against the same schemas as run
+# manifests.
+INPUTS = {
+    "problem": ({"type": "string"}, "JSON problem file, in place of the problem flags"),
+    "p": (_RATE, "right hop rate: a number, or a/b for exact arithmetic"),
+    "t": ({"type": "number", "minimum": 0}, "time"),
+    "y": (_INT_ARRAY, "initial sites, comma-separated"),
+    "nu": (_INT_ARRAY, "initial species, comma-separated (all 1 where optional)"),
+    "x": (_INT_ARRAY, "target sites, comma-separated"),
+    "pi": (_INT_ARRAY, "target species (default: nu); needs --x"),
+    "window": (_WINDOW, "lo,hi window of targets instead of --x"),
+    "nodes": ({"type": "integer", "minimum": 8}, "nodes per contour axis"),
+    "radius": (
+        {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "contour radius (default: balanced)",
+    ),
+    "quad_tol": (_POSITIVE, "largest deviation from the point mass that passes"),
+    "margin": ({"type": "integer", "minimum": 0}, "sites checked beside the start"),
+    "tol": (_POSITIVE, "largest |class sum| that passes"),
+    "leak_tol": (_POSITIVE, "bound on the mass that leaves the default window"),
+    "with_oracle": ({"type": "boolean"}, "add each target's finite-window oracle value"),
+    "n": ({"type": "integer", "minimum": 2}, "particle count"),
+    "points": ({"type": "integer", "minimum": 1}, "random rational points"),
+    "max_n": ({"type": "integer", "minimum": 2}, "largest particle count"),
+    "trials": ({"type": "integer", "minimum": 1}, "Monte Carlo trials"),
+    "seed": ({"type": "integer", "minimum": 0}, "random seed"),
+    "z_threshold": (_POSITIVE, "largest |z| that passes"),
+    "min_expected": (_POSITIVE, "least expected count of a checked cell"),
+    "reference": ({"enum": ["oracle", "formula"]}, "distribution checked against"),
+    "mass_floor": ({"type": "number", "minimum": 0}, "least probability listed"),
+    "print_limit": ({"type": "integer", "minimum": 0}, "targets printed to stdout"),
+    "out": ({"type": "string"}, "write the JSON report here"),
+    "csv": ({"type": "string"}, "write one CSV row per target or cell"),
 }
 
 # --- reports: one frozen dataclass each; REPORT_SCHEMAS is generated -----
@@ -398,11 +393,30 @@ def _parse_rate(text) -> RateParams:
     return RateParams.from_p(value)
 
 
-def _parse_tuple(text) -> tuple[int, ...]:
+def _int_tuple(text) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in str(text).split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _flag(key) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _flag_type(schema):
+    """How a flag's text becomes its value.  Rates (a number or a/b) and
+    strings stay text."""
+    kind = schema.get("type")
+    if kind == "array":
+        return _int_tuple
+    if kind == "integer":
+        return int
+    if kind in ("number", ["number", "null"]):
+        return float
+    return None
 
 
 def _validate(doc, schema, what):
@@ -425,73 +439,62 @@ def _load_json(path, schema, what):
     return doc
 
 
-def _spec_from(args, n) -> ContourSpec:
-    return ContourSpec(
-        nodes=getattr(args, "nodes", 64),
-        radius=getattr(args, "radius", None),
-        dimension=n,
-    )
+def _spec_from(args, n, quad=None) -> ContourSpec:
+    """Contour settings from the --nodes/--radius flags a command has,
+    overridden by a problem's ``quad`` entries."""
+    settings = {k: getattr(args, k) for k in ("nodes", "radius") if hasattr(args, k)}
+    return ContourSpec(dimension=n, **{**settings, **(quad or {})})
+
+
+_PROBLEM_FLAGS = ("p", "t", "y", "nu", "x", "pi", "window")
 
 
 def _problem_from(args):
     """(rates, t, y, nu, targets-or-None, window-or-None, spec) from a
-    problem file or flags; exactly one source."""
-    if getattr(args, "problem", None):
-        if args.y is not None or args.nu is not None:
-            raise UsageError("give either a problem file or --y/--nu flags, not both")
+    problem file, or from the problem flags turned into the same document;
+    never from both."""
+    given = [_flag(k) for k in _PROBLEM_FLAGS if getattr(args, k, None) is not None]
+    if args.problem is not None:
+        if given:
+            raise UsageError(f"a problem file cannot be combined with {', '.join(given)}")
         doc = _load_json(args.problem, PROBLEM_SCHEMA, "problem file")
-        if "targets" in doc and "window" in doc:
-            raise UsageError("problem file: give targets or window, not both")
-        y = tuple(doc["Y"])
-        nu = tuple(doc["nu"])
-        if doc.get("N") is not None and doc["N"] != len(y):
-            raise UsageError(f"problem file: N={doc['N']} but Y has {len(y)} sites")
-        if doc.get("M") is not None and doc["M"] != len(set(nu)):
-            raise UsageError(
-                f"problem file: M={doc['M']} but nu has {len(set(nu))} distinct labels"
-            )
-        rates = _parse_rate(doc["p"])
-        t = float(doc["t"])
-        targets = None
-        if "targets" in doc:
-            targets = [(tuple(row["X"]), tuple(row["pi"])) for row in doc["targets"]]
-        window = tuple(doc["window"]) if "window" in doc else None
-        quad = doc.get("quad", {})
-        spec = ContourSpec(
-            nodes=quad.get("nodes", getattr(args, "nodes", 64)),
-            radius=quad.get("radius", getattr(args, "radius", None)),
-            dimension=len(y),
+    else:
+        x, pi = getattr(args, "x", None), getattr(args, "pi", None)
+        if pi is not None and x is None:
+            raise UsageError("--pi needs --x")
+        doc = {"p": args.p, "t": args.t, "Y": args.y, "nu": args.nu,
+               "window": args.window}
+        if x is not None:
+            doc["targets"] = [{"X": x, "pi": args.nu if pi is None else pi}]
+        doc = _json({k: v for k, v in doc.items() if v is not None})
+        _validate(doc, PROBLEM_SCHEMA, "problem flags")
+    if "targets" in doc and "window" in doc:
+        raise UsageError("give targets or a window, not both")
+    y = tuple(doc["Y"])
+    nu = tuple(doc["nu"])
+    if doc.get("N") is not None and doc["N"] != len(y):
+        raise UsageError(f"problem file: N={doc['N']} but Y has {len(y)} sites")
+    if doc.get("M") is not None and doc["M"] != len(set(nu)):
+        raise UsageError(
+            f"problem file: M={doc['M']} but nu has {len(set(nu))} distinct labels"
         )
-        return rates, t, y, nu, targets, window, spec
-    if args.y is None or args.nu is None:
-        raise UsageError("need a problem file or --y and --nu")
-    if args.p is None or args.t is None:
-        raise UsageError("--p and --t are required without a problem file")
-    y = _parse_tuple(args.y)
-    nu = _parse_tuple(args.nu)
-    rates = _parse_rate(args.p)
     targets = None
-    if getattr(args, "x", None) is not None:
-        if getattr(args, "window", None):
-            raise UsageError("give --x or --window, not both")
-        pi = _parse_tuple(args.pi) if getattr(args, "pi", None) else nu
-        targets = [(_parse_tuple(args.x), pi)]
-    window = _parse_window(args.window) if getattr(args, "window", None) else None
-    return rates, float(args.t), y, nu, targets, window, _spec_from(args, len(y))
-
-
-def _parse_window(text):
-    parts = _parse_tuple(text)
-    if len(parts) != 2 or parts[0] > parts[1]:
-        raise UsageError(f"window must be lo,hi with lo <= hi, got {text!r}")
-    return parts
+    if "targets" in doc:
+        targets = [(tuple(row["X"]), tuple(row["pi"])) for row in doc["targets"]]
+    window = tuple(doc["window"]) if "window" in doc else None
+    if window is not None and window[0] > window[1]:
+        raise UsageError(f"window must be lo,hi with lo <= hi, got {list(window)}")
+    spec = _spec_from(args, len(y), doc.get("quad"))
+    return _parse_rate(doc["p"]), float(doc["t"]), y, nu, targets, window, spec
 
 
 def _json(value):
-    """A report as JSON data: dataclasses become objects without their
-    unset optional fields, tuples become arrays."""
-    if isinstance(value, tuple):
+    """JSON data of a report or input: dataclasses become objects without
+    their unset optional fields, tuples become arrays."""
+    if isinstance(value, (tuple, list)):
         return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
     if is_dataclass(value):
         return {
             f.name: _json(v)
@@ -587,8 +590,8 @@ def cmd_prob(args) -> int:
 
 def cmd_verify_delta(args) -> int:
     rates = _parse_rate(args.p)
-    y = _parse_tuple(args.y)
-    nu = _parse_tuple(args.nu) if args.nu else (1,) * len(y)
+    y = args.y
+    nu = args.nu or (1,) * len(y)
     spec = _spec_from(args, len(y))
     rep = delta_recovery(y, nu, rates, margin=args.margin, tol=args.quad_tol, spec=spec)
     report = VerifyDeltaReport(
@@ -668,8 +671,7 @@ def cmd_verify_braid(args) -> int:
 
 def cmd_verify_b_classes(args) -> int:
     rates = _parse_rate(args.p)
-    y = _parse_tuple(args.y)
-    x = _parse_tuple(args.x)
+    y, x = args.y, args.x
     n = len(y)
     spec = _spec_from(args, n)
     classes = []
@@ -808,9 +810,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     rates = _parse_rate(args.p)
-    y = _parse_tuple(args.y)
-    nu = _parse_tuple(args.nu) if args.nu else (1,) * len(y)
-    result = simulate(y, nu, rates, float(args.t), args.trials, args.seed)
+    y = args.y
+    nu = args.nu or (1,) * len(y)
+    result = simulate(y, nu, rates, args.t, args.trials, args.seed)
     cells = tuple(
         HistogramCell(
             sites=sites, species=species, count=count, frequency=count / result.trials
@@ -819,7 +821,7 @@ def cmd_simulate(args) -> int:
     )
     report = SimulateReport(
         p=float(rates.p),
-        t=float(args.t),
+        t=args.t,
         initial=Initial(y, nu),
         trials=result.trials,
         seed=result.seed,
@@ -888,34 +890,90 @@ def cmd_schema(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    manifest = _load_json(args.manifest, MANIFEST_SCHEMA, "manifest")
+def _manifest_argv(manifest) -> list[str]:
+    """The command line a validated run manifest stands for."""
     argv = [manifest.pop("command")]
     for key, value in manifest.items():
-        if value is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key in ("y", "nu", "x", "pi", "window"):
-            argv.extend([flag, ",".join(map(str, value))])
-        elif key == "problem":
+        if key == "problem":
             argv.append(value)
         elif isinstance(value, bool):
             if value:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
-    return main(argv)
+                argv.append(_flag(key))
+        elif isinstance(value, list):
+            argv.extend([_flag(key), ",".join(map(str, value))])
+        elif value is not None:
+            argv.extend([_flag(key), str(value)])
+    return argv
 
 
-def _add_quad_flags(parser):
-    parser.add_argument("--nodes", type=int, default=64, help="nodes per contour axis")
-    parser.add_argument(
-        "--radius", type=float, default=None, help="contour radius (default: balanced)"
-    )
+def cmd_run(args) -> int:
+    return main(_manifest_argv(_load_json(args.manifest, MANIFEST_SCHEMA, "manifest")))
 
 
-def _add_out_flags(parser):
-    parser.add_argument("--out", help="write the JSON report here")
+# Each command's help, handler, and the INPUTS it takes with their
+# defaults; ``...`` marks a required flag.
+_PROBLEM = {"problem": None, "p": None, "t": None, "y": None, "nu": None}
+_QUAD = {"nodes": 64, "radius": None}
+COMMANDS = {
+    "prob": (
+        "transition probabilities for targets or a window",
+        cmd_prob,
+        {**_PROBLEM, "x": None, "pi": None, "window": None, "leak_tol": 1e-10,
+         "with_oracle": False, "csv": None, "print_limit": 10, **_QUAD, "out": None},
+    ),
+    "verify-delta": (
+        "t=0 point-mass recovery",
+        cmd_verify_delta,
+        {"p": ..., "y": ..., "nu": None, "margin": 2, "quad_tol": 1e-8, **_QUAD,
+         "out": None},
+    ),
+    "verify-braid": (
+        "exact braid relations of the exchange operators",
+        cmd_verify_braid,
+        {"p": ..., "n": 3, "points": 20, "seed": 0, "out": None},
+    ),
+    "verify-b-classes": (
+        "t=0 cancellation by inversion class",
+        cmd_verify_b_classes,
+        {"p": ..., "y": ..., "x": ..., "tol": 1e-9, **_QUAD, "out": None},
+    ),
+    "verify-second-class": (
+        "closed forms vs recursion, exact rationals",
+        cmd_verify_second_class,
+        {"p": ..., "max_n": 5, "seed": 0, "out": None},
+    ),
+    "oracle": (
+        "finite-window Markov oracle distribution",
+        cmd_oracle,
+        {**_PROBLEM, "x": None, "pi": None, "window": None, "leak_tol": 1e-10,
+         "mass_floor": 1e-12, "csv": None, "out": None},
+    ),
+    "simulate": (
+        "Monte Carlo histogram",
+        cmd_simulate,
+        {"p": ..., "t": ..., "y": ..., "nu": None, "trials": ..., "seed": ...,
+         "csv": None, "out": None},
+    ),
+    "compare": (
+        "Monte Carlo vs oracle or formula",
+        cmd_compare,
+        {**_PROBLEM, "window": None, "trials": ..., "seed": ..., "reference": "oracle",
+         "z_threshold": 4.0, "min_expected": 25.0, "leak_tol": 1e-10, **_QUAD,
+         "out": None},
+    ),
+}
+
+MANIFEST_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "run-manifest",
+    "type": "object",
+    "properties": {
+        "command": {"enum": list(COMMANDS)},
+        **{key: schema for key, (schema, _) in INPUTS.items()},
+    },
+    "required": ["command"],
+    "additionalProperties": False,
+}
 
 
 def build_parser() -> _Parser:
@@ -925,102 +983,23 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    prob = sub.add_parser("prob", help="transition probabilities for targets or a window")
-    prob.add_argument("problem", nargs="?", help="JSON problem file")
-    prob.add_argument("--p", default=None, help="right hop rate (number or a/b)")
-    prob.add_argument("--t", type=float, default=None)
-    prob.add_argument("--y", help="initial sites, comma-separated")
-    prob.add_argument("--nu", help="initial species, comma-separated")
-    prob.add_argument("--x", help="target sites")
-    prob.add_argument("--pi", help="target species (default: nu)")
-    prob.add_argument("--window", help="lo,hi window of targets instead of --x")
-    prob.add_argument("--leak-tol", type=float, default=1e-10)
-    prob.add_argument("--with-oracle", action="store_true")
-    prob.add_argument("--csv", help="write one CSV row per target")
-    prob.add_argument("--print-limit", type=int, default=10)
-    _add_quad_flags(prob)
-    _add_out_flags(prob)
-    prob.set_defaults(handler=cmd_prob)
-
-    vdelta = sub.add_parser("verify-delta", help="t=0 point-mass recovery")
-    vdelta.add_argument("--p", required=True)
-    vdelta.add_argument("--y", required=True)
-    vdelta.add_argument("--nu", default=None)
-    vdelta.add_argument("--margin", type=int, default=2)
-    vdelta.add_argument("--quad-tol", type=float, default=1e-8)
-    _add_quad_flags(vdelta)
-    _add_out_flags(vdelta)
-    vdelta.set_defaults(handler=cmd_verify_delta)
-
-    vbraid = sub.add_parser("verify-braid", help="exact braid relations of the exchange operators")
-    vbraid.add_argument("--p", required=True, help="exact rational, e.g. 1/3")
-    vbraid.add_argument("--n", type=int, default=3)
-    vbraid.add_argument("--points", type=int, default=20)
-    vbraid.add_argument("--seed", type=int, default=0)
-    _add_out_flags(vbraid)
-    vbraid.set_defaults(handler=cmd_verify_braid)
-
-    vb = sub.add_parser("verify-b-classes", help="t=0 cancellation by inversion class")
-    vb.add_argument("--p", required=True)
-    vb.add_argument("--y", required=True)
-    vb.add_argument("--x", required=True)
-    vb.add_argument("--tol", type=float, default=1e-9)
-    _add_quad_flags(vb)
-    _add_out_flags(vb)
-    vb.set_defaults(handler=cmd_verify_b_classes)
-
-    vsc = sub.add_parser(
-        "verify-second-class", help="closed forms vs recursion, exact rationals"
-    )
-    vsc.add_argument("--p", required=True, help="exact rational, e.g. 2/5")
-    vsc.add_argument("--max-n", type=int, default=5)
-    vsc.add_argument("--seed", type=int, default=0)
-    _add_out_flags(vsc)
-    vsc.set_defaults(handler=cmd_verify_second_class)
-
-    oracle = sub.add_parser("oracle", help="finite-window Markov oracle distribution")
-    oracle.add_argument("problem", nargs="?")
-    oracle.add_argument("--p", default=None)
-    oracle.add_argument("--t", type=float, default=None)
-    oracle.add_argument("--y")
-    oracle.add_argument("--nu")
-    oracle.add_argument("--x")
-    oracle.add_argument("--pi")
-    oracle.add_argument("--window")
-    oracle.add_argument("--leak-tol", type=float, default=1e-10)
-    oracle.add_argument("--mass-floor", type=float, default=1e-12)
-    oracle.add_argument("--csv")
-    _add_out_flags(oracle)
-    oracle.set_defaults(handler=cmd_oracle)
-
-    sim = sub.add_parser("simulate", help="Monte Carlo histogram")
-    sim.add_argument("--p", required=True)
-    sim.add_argument("--t", type=float, required=True)
-    sim.add_argument("--y", required=True)
-    sim.add_argument("--nu", default=None)
-    sim.add_argument("--trials", type=int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--csv")
-    _add_out_flags(sim)
-    sim.set_defaults(handler=cmd_simulate)
-
-    comp = sub.add_parser("compare", help="Monte Carlo vs oracle or formula")
-    comp.add_argument("problem", nargs="?")
-    comp.add_argument("--p", default=None)
-    comp.add_argument("--t", type=float, default=None)
-    comp.add_argument("--y")
-    comp.add_argument("--nu")
-    comp.add_argument("--window")
-    comp.add_argument("--trials", type=int, required=True)
-    comp.add_argument("--seed", type=int, required=True)
-    comp.add_argument("--reference", choices=["oracle", "formula"], default="oracle")
-    comp.add_argument("--z-threshold", type=float, default=4.0)
-    comp.add_argument("--min-expected", type=float, default=25.0)
-    comp.add_argument("--leak-tol", type=float, default=1e-10)
-    _add_quad_flags(comp)
-    _add_out_flags(comp)
-    comp.set_defaults(handler=cmd_compare)
+    for command, (help_text, handler, inputs) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for key, default in inputs.items():
+            schema, text = INPUTS[key]
+            if key == "problem":
+                cmd.add_argument(key, nargs="?", help=text)
+            elif schema.get("type") == "boolean":
+                cmd.add_argument(_flag(key), action="store_true", help=text)
+            else:
+                cmd.add_argument(
+                    _flag(key),
+                    type=_flag_type(schema),
+                    default=None if default is ... else default,
+                    required=default is ...,
+                    help=text,
+                )
+        cmd.set_defaults(handler=handler)
 
     run = sub.add_parser("run", help="execute a JSON run manifest")
     run.add_argument("manifest")
@@ -1036,6 +1015,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in COMMANDS:
+            # flags obey the bounds a run manifest does
+            flags = {k: v for k, v in vars(args).items() if k != "handler" and v is not None}
+            _validate(_json(flags), MANIFEST_SCHEMA, "flags")
         return args.handler(args)
     except UsageError as exc:
         print(f"asep-exact: error: {exc}", file=sys.stderr)

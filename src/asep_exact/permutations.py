@@ -32,10 +32,6 @@ def identity(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 
 
-def is_permutation(sigma) -> bool:
-    return isinstance(sigma, tuple) and sorted(sigma) == list(range(1, len(sigma) + 1))
-
-
 def inverse(sigma: Permutation) -> Permutation:
     """Slot of each entry: inverse(sigma)[k - 1] is where k sits.
 

@@ -26,11 +26,10 @@ closed forms (one species-1 particle among species 2) are in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Rational
 
 import numpy as np
 
-from .bethe_algebra import RateParams, amplitude, s_factor
+from .bethe_algebra import RateParams, s_factor
 from .permutations import (
     Permutation,
     Word,
@@ -147,17 +146,6 @@ def coefficient_table(nu: SpeciesMap, xi, rates: RateParams) -> dict[Permutation
                         next_level.append(tau)
         level = next_level
     return table
-
-
-def multispecies_amplitude(
-    sigma: Permutation, pi: SpeciesMap, nu: SpeciesMap, xi, rates: RateParams
-):
-    """Amplitude times the (sigma, pi) coefficient; 0 when pi is outside
-    the table's support."""
-    h = species_coefficient(sigma, nu, xi, rates).get(pi, 0)
-    if _is_zero_scalar(h):
-        return 0
-    return h * amplitude(sigma, xi, rates)
 
 
 # --- word-expansion form -------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .bethe_algebra import RateParams, amplitude, dispersion, s_factor
+from .bethe_algebra import RateParams, dispersion, s_factor
 from .contour_quadrature import (
     MAX_NODES,
     ContourSpec,
@@ -57,7 +57,6 @@ from .markov_oracle import (
     exit_rate,
     leakage_bound,
     predecessor_flows,
-    single_step_moves,
     window_for,
 )
 from .permutations import all_permutations, inverse, inversion_classes, inversions
@@ -91,10 +90,6 @@ class TargetValue:
     species: tuple[int, ...]
     value: float
     imag: float
-
-    @property
-    def imag_excessive(self) -> bool:
-        return abs(self.imag) > IMAG_REL_TOL * max(1.0, abs(self.value))
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,6 @@ def _evaluate(
     rates: RateParams,
     t: float,
     spec: ContourSpec | None = None,
-    force_table_recursion: bool = False,
 ) -> Evaluation:
     """Values for a batch of (sites, species) targets sharing one start.
 
@@ -212,8 +206,7 @@ def _evaluate(
     out: list[complex] = [0j] * len(targets)
 
     values, radius = _contour_sum(
-        tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec,
-        force_table_recursion,
+        tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec
     )
     for k, v in zip(direct, values):
         out[k] = v
@@ -225,14 +218,14 @@ def _evaluate(
         ]
         values, mirror_radius = _contour_sum(
             _reflect(tuple(y)), tuple(reversed(nu)), mirrored,
-            RateParams(rates.q, rates.p), t, spec, force_table_recursion,
+            RateParams(rates.q, rates.p), t, spec,
         )
         for k, v in zip(left, values):
             out[k] = v
     return Evaluation(values=tuple(out), radius=radius, mirror_radius=mirror_radius)
 
 
-def _contour_sum(y, nu, targets, rates, t, spec, force_table_recursion):
+def _contour_sum(y, nu, targets, rates, t, spec):
     """Trapezoid values of targets with sum(x) >= sum(y), all in nu's
     species orbit, read off one symmetrized spectrum per labeling; returns
     the values and the radius used (None for an empty batch)."""
@@ -259,7 +252,7 @@ def _contour_sum(y, nu, targets, rates, t, spec, force_table_recursion):
             "lower the node count or the particle count"
         )
 
-    trivial_table = len(species_orbit(nu)) == 1 and not force_table_recursion
+    trivial_table = len(species_orbit(nu)) == 1
     rest_views = [axis_view(z, a, n_rest) for a in range(n_rest)]
 
     # Scattering factors: pairs entirely in the rest grid are slab
@@ -490,6 +483,8 @@ def delta_recovery(
     count until the worst deviation from the Kronecker delta passes tol.
     When the node cap or the slab budget stops the doubling first, the
     report is returned failed."""
+    if margin < 0:
+        raise ValueError(f"margin must be nonnegative, got {margin}")
     y = tuple(y)
     nu = tuple(nu)
     n = len(y)

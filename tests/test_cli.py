@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, schemas, file formats."""
 
+import argparse
 import csv
 import json
 
@@ -273,3 +274,54 @@ def test_simulate_and_compare_reports_match_schemas(tmp_path):
     report = json.loads(cmp_out.read_text())
     jsonschema.validate(report, cli.REPORT_SCHEMAS["compare"])
     assert report["flagged"] and not report["passed"]
+
+
+PROBLEM = {"p": 0.5, "t": 0.3, "Y": [0, 1], "nu": [1, 2], "targets": [{"X": [0, 1], "pi": [2, 1]}]}
+BAD_INPUTS = [  # (manifest, what the error must name)
+    ({"command": "verify-braid", "p": "1/2", "points": 0}, "at points:"),
+    ({"command": "verify-braid", "p": "1/2", "n": 1}, "at n:"),
+    ({"command": "verify-second-class", "p": "2/5", "max_n": 1}, "at max_n:"),
+    ({"command": "verify-delta", "p": 0.7, "y": [0, 1], "margin": -1}, "at margin:"),
+    (
+        {"command": "simulate", "p": 0.7, "t": 0.4, "y": [0, 1], "trials": 10, "seed": -1},
+        "at seed:",
+    ),
+    (
+        {"command": "prob", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2], "x": [0, 1],
+         "print_limit": -1},
+        "at print_limit:",
+    ),
+    (
+        {"command": "prob", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2], "pi": [2, 1],
+         "window": [-1, 2]},
+        "--pi",
+    ),
+    ({"command": "prob", "problem": "problem.json", "window": [-3, 4]}, "--window"),
+    ({"command": "prob", "problem": "problem.json", "p": 0.2, "t": 3}, "--p, --t"),
+]
+
+
+@pytest.mark.parametrize("manifest, names", BAD_INPUTS)
+def test_bad_input_rejected_as_flags_and_as_manifest(manifest, names, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.json").write_text(json.dumps(PROBLEM))
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for argv in (cli._manifest_argv(dict(manifest)), ["run", "manifest.json"]):
+        assert run(argv) == 1, argv
+        assert names in capsys.readouterr().err, argv
+
+
+def test_every_flag_is_a_manifest_key():
+    # flags and manifest keys come from one table; they must not drift
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli.COMMANDS) | {"run", "schema"}
+    keys = cli.MANIFEST_SCHEMA["properties"]
+    for command in cli.COMMANDS:
+        for action in sub.choices[command]._actions:
+            if action.dest == "help":
+                continue
+            assert action.dest in keys, (command, action.dest)
+            if action.default is not None:
+                jsonschema.validate(action.default, keys[action.dest])

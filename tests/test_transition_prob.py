@@ -21,12 +21,12 @@ from asep_exact import (
     sigma_summand,
     single_particle_series,
     single_species_probability,
+    species_orbit,
     transition_probabilities,
     transition_probability,
 )
 from asep_exact import transition_prob
 from asep_exact.permutations import all_permutations, inversion_classes
-from asep_exact.transition_prob import _evaluate
 
 R07 = RateParams.from_p(0.7)
 R05 = RateParams.from_p(0.5)
@@ -73,6 +73,13 @@ def test_delta_recovery_fails_at_slab_budget(monkeypatch):
     assert not rep.passed
     assert rep.nodes == 8
     assert rep.max_residual > 1e-12
+
+
+def test_delta_recovery_rejects_negative_margin():
+    # a negative margin leaves the start out of the window: zero targets
+    # would pass vacuously
+    with pytest.raises(ValueError, match="margin"):
+        delta_recovery((0, 1), (1, 1), R07, margin=-1)
 
 
 def test_delta_recovery_single_species_tasep():
@@ -143,14 +150,23 @@ def test_single_species_wrapper():
     assert a == pytest.approx(b, rel=1e-14)
 
 
-def test_trivial_table_shortcut_is_exact():
-    # single species label table is {nu: 1}; the shortcut must agree with
-    # the full recursion bit for bit
-    y, nu = (0, 1, 3), (1, 1, 1)
-    targets = [((0, 1, 3), (1, 1, 1)), ((1, 2, 4), (1, 1, 1))]
-    fast = _evaluate(y, nu, targets, R07, 0.6)
-    slow = _evaluate(y, nu, targets, R07, 0.6, force_table_recursion=True)
-    assert fast == slow
+@pytest.mark.parametrize("p", [0.5, 0.7])
+@pytest.mark.parametrize(
+    "y, nu", [((0, 1, 3), (3, 2, 1)), ((0, 1, 3), (2, 1, 2)), ((0, 1), (2, 1))]
+)
+def test_species_projection_matches_single_species(y, nu, p):
+    # swaps never move the occupied sites, so the labelings of one site
+    # set sum to the single-species probability: the coefficient-table
+    # path against the single-species shortcut, on both mirrored halves
+    rates = RateParams.from_p(p)
+    sites = [y, tuple(s + 1 for s in y), tuple(s - 2 for s in y), tuple(2 * s for s in y)]
+    labelings = sorted(species_orbit(nu))
+    values = transition_probabilities(
+        y, nu, [(x, pi) for x in sites for pi in labelings], rates, 0.6
+    )
+    for k, x in enumerate(sites):
+        summed = sum(v.value for v in values[k * len(labelings):(k + 1) * len(labelings)])
+        assert abs(summed - single_species_probability(y, x, rates, 0.6)) <= 1e-14
 
 
 def test_radius_invariance():
