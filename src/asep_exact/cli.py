@@ -43,12 +43,8 @@ from .contour_quadrature import ContourSpec
 from .markov_oracle import oracle_distribution, window_for
 from .mc_simulator import CellCheck, simulate
 from .mc_simulator import compare as mc_compare
-from .permutations import all_permutations, inversion_classes
-from .species_coeff import (
-    check_braid_relations,
-    second_class_coefficient,
-    species_coefficient,
-)
+from .permutations import inversion_classes
+from .species_coeff import braid_sweep, second_class_sweep
 from .transition_prob import (
     delta_recovery,
     distribution_over_window,
@@ -613,59 +609,28 @@ def cmd_verify_delta(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _rational_points(rng, n, rates, tries=200):
-    """Nonzero rationals with small numerators/denominators, re-drawn until
-    no ordered pair sits on a scattering pole."""
-    from .bethe_algebra import f_factor
-
-    for _ in range(tries):
-        xi = tuple(
-            Fraction(int(rng.integers(1, 40)), int(rng.integers(41, 120)))
-            for _ in range(n)
-        )
-        if len(set(xi)) != n:
-            continue
-        if all(
-            f_factor(v, u, rates) != 0 for u in xi for v in xi
-        ):
-            return xi
-    raise RuntimeError("could not find a pole-free rational point")
-
-
 def cmd_verify_braid(args) -> int:
     rates = _parse_rate(args.p)
     if not rates.exact:
         raise UsageError("verify-braid needs an exact rational p, e.g. --p 1/3")
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
-    checks = 0
-    counterexample = None
-    for point in range(args.points):
-        xi = _rational_points(rng, args.n, rates)
-        rep = check_braid_relations(args.n, xi, rates)
-        checks += rep.checks
-        if not rep.passed:
-            counterexample = {k: str(v) for k, v in rep.counterexample.items()}
-            counterexample["xi"] = str([str(v) for v in xi])
-            break
+    sweep = braid_sweep(args.n, rates, args.points, args.seed)
     report = VerifyBraidReport(
         n=args.n,
         p=str(rates.p),
         points=args.points,
         seed=args.seed,
-        checks=checks,
-        passed=counterexample is None,
-        counterexample=counterexample,
+        checks=sweep.checks,
+        passed=sweep.passed,
+        counterexample=sweep.counterexample,
     )
     _write_report(args, report)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"verify-braid: {status}  n={args.n} p={rates.p} "
-        f"{args.points} random rational points, {checks} exact identities"
+        f"{args.points} random rational points, {sweep.checks} exact identities"
     )
-    if counterexample:
-        print(f"  first counterexample: {counterexample}")
+    if sweep.counterexample:
+        print(f"  first counterexample: {sweep.counterexample}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -719,60 +684,24 @@ def cmd_verify_second_class(args) -> int:
     rates = _parse_rate(args.p)
     if not rates.exact:
         raise UsageError("verify-second-class needs an exact rational p, e.g. --p 2/5")
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 1]))
-    checks = 0
-    outside = 0
-    counterexample = None
-    for n in range(2, args.max_n + 1):
-        xi = _rational_points(rng, n, rates)
-        for nu_pos in (1, 2):
-            if nu_pos > n:
-                continue
-            nu = tuple(1 if k == nu_pos else 2 for k in range(1, n + 1))
-            for sigma in all_permutations(n):
-                table = species_coefficient(sigma, nu, xi, rates)
-                for j in range(1, n + 1):
-                    pi = tuple(1 if k == j else 2 for k in range(1, n + 1))
-                    try:
-                        closed = second_class_coefficient(sigma, nu_pos, j, xi, rates)
-                    except ValueError:
-                        outside += 1
-                        continue
-                    checks += 1
-                    if table.get(pi, 0) != closed:
-                        counterexample = {
-                            "n": str(n),
-                            "nu_pos": str(nu_pos),
-                            "sigma": str(sigma),
-                            "j": str(j),
-                            "recursion": str(table.get(pi, 0)),
-                            "closed_form": str(closed),
-                        }
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
+    sweep = second_class_sweep(args.max_n, rates, args.seed)
     report = VerifySecondClassReport(
         max_n=args.max_n,
         p=str(rates.p),
-        checks=checks,
-        outside_validity=outside,
-        passed=counterexample is None,
-        counterexample=counterexample,
+        checks=sweep.checks,
+        outside_validity=sweep.outside_validity,
+        passed=sweep.passed,
+        counterexample=sweep.counterexample,
     )
     _write_report(args, report)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"verify-second-class: {status}  n up to {args.max_n}, p={rates.p}: "
-        f"{checks} exact identities, {outside} outside the validity region"
+        f"{sweep.checks} exact identities, {sweep.outside_validity} outside the "
+        "validity region"
     )
-    if counterexample:
-        print(f"  first counterexample: {counterexample}")
+    if sweep.counterexample:
+        print(f"  first counterexample: {sweep.counterexample}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -223,9 +223,15 @@ def leakage_bound(n: int, t: float, delta: int) -> float:
     return min(1.0, n * poisson_tail(t, delta))
 
 
+def _check_time(t: float) -> None:
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got t = {t}")
+
+
 def window_for(y: tuple[int, ...], t: float, leak_tol: float = 1e-10) -> tuple[int, int]:
     """Smallest symmetric window around the initial sites whose leakage
     bound is at most leak_tol."""
+    _check_time(t)
     n = len(y)
     delta = 1
     while leakage_bound(n, t, delta) > leak_tol:
@@ -248,6 +254,7 @@ def oracle_distribution(
     because exiting moves are suppressed, but states near the boundary
     carry truncation bias up to the leakage bound."""
     check_config(y, nu)
+    _check_time(t)
     if window is None:
         window = window_for(y, t, leak_tol)
     space = StateSpace.build(window, len(y), nu)

@@ -16,20 +16,31 @@ above the identity.  Words compose associatively and satisfy the braid
 relations, so the result is word-independent; ``check_braid_relations``
 verifies that exactly on rational inputs.
 
+A point has only N(N-1) ordered pairs, so the factor 1 + S at each bond
+is read from a ``PairTable``: ``1 + S(xi_a, xi_b)`` keyed by the ordered
+entries (a, b), each evaluated the first time a letter needs it.  Every
+function taking ``xi`` accepts the N points or a ``PairTable`` already
+built on them, so one table serves every call made at one point (the
+exact sweeps build one per rational point; the contour engine fills one
+per slab with views of its scattering matrix).
+
 ``coefficient_by_expansion`` evaluates the same coefficient as an explicit
 sum over subsets of the word's letters (one branch per choice of the
 alpha-term or the beta-term at each letter), and the second-class particle
 closed forms (one species-1 particle among species 2) are in
-``second_class_coefficient``.
+``second_class_coefficient``.  ``braid_sweep`` and ``second_class_sweep``
+check the braid relations and the closed forms exactly at seeded random
+rational points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .bethe_algebra import RateParams, s_factor
+from .bethe_algebra import RateParams, f_factor, s_factor
 from .permutations import (
     Permutation,
     Word,
@@ -44,6 +55,26 @@ from .permutations import (
 
 SpeciesMap = tuple[int, ...]
 CoeffTable = dict[SpeciesMap, object]
+
+
+class PairTable(dict):
+    """Bond factors ``1 + S(xi_a, xi_b)`` keyed by ordered entries (a, b),
+    1-based; a pair missing from the table is evaluated on first use."""
+
+    def __init__(self, xi, rates: RateParams):
+        super().__init__()
+        self.xi = xi
+        self.rates = rates
+
+    @classmethod
+    def of(cls, xi, rates: RateParams) -> "PairTable":
+        """``xi`` itself when it is already a table, else a new one on it."""
+        return xi if isinstance(xi, cls) else cls(xi, rates)
+
+    def __missing__(self, pair):
+        a, b = pair
+        value = self[pair] = 1 + s_factor(self.xi[a - 1], self.xi[b - 1], self.rates)
+        return value
 
 
 def species_orbit(nu: SpeciesMap) -> list[SpeciesMap]:
@@ -79,13 +110,14 @@ def _cleaned(table: CoeffTable) -> CoeffTable:
     return {pi: v for pi, v in table.items() if not _is_zero_scalar(v)}
 
 
-def exchange_update(i: int, sigma: Permutation, h: CoeffTable, xi, rates: RateParams) -> CoeffTable:
+def exchange_update(
+    i: int, sigma: Permutation, h: CoeffTable, pairs: PairTable, rates: RateParams
+) -> CoeffTable:
     """Apply the exchange operator at bond i to a coefficient table sitting
-    above sigma.  The scattering factor is evaluated at the entries sigma
+    above sigma.  The bond factor 1 + S is the one at the entries sigma
     currently holds in slots i and i+1; the returned table sits above
     adjacent_swap(sigma, i)."""
-    s = s_factor(xi[sigma[i - 1] - 1], xi[sigma[i] - 1], rates)
-    c = 1 + s
+    c = pairs[(sigma[i - 1], sigma[i])]
     support = set(h)
     support.update(label_swap(pi, i) for pi in h)
     out: CoeffTable = {}
@@ -99,11 +131,13 @@ def exchange_update(i: int, sigma: Permutation, h: CoeffTable, xi, rates: RatePa
     return out
 
 
-def braid_apply(word: Word, sigma: Permutation, h: CoeffTable, xi, rates: RateParams):
+def braid_apply(
+    word: Word, sigma: Permutation, h: CoeffTable, pairs: PairTable, rates: RateParams
+):
     """Apply a word of exchange operators (rightmost letter first) to the
     pair (sigma, h); returns the new pair."""
     for i in reversed(word):
-        h = exchange_update(i, sigma, h, xi, rates)
+        h = exchange_update(i, sigma, h, pairs, rates)
         sigma = adjacent_swap(sigma, i)
     return sigma, h
 
@@ -123,7 +157,7 @@ def species_coefficient(
         word = canonical_word(sigma)
     elif word_to_permutation(word, n) != sigma:
         raise ValueError(f"word {word} does not evaluate to {sigma}")
-    end, h = braid_apply(word, identity(n), {nu: 1}, xi, rates)
+    end, h = braid_apply(word, identity(n), {nu: 1}, PairTable.of(xi, rates), rates)
     assert end == sigma
     return h
 
@@ -131,7 +165,9 @@ def species_coefficient(
 def coefficient_table(nu: SpeciesMap, xi, rates: RateParams) -> dict[Permutation, CoeffTable]:
     """Coefficient tables for every sigma at once, sharing work along a
     breadth-first sweep: each permutation is reached once, through any
-    shortest ascent (word independence makes the choice immaterial)."""
+    shortest ascent (word independence makes the choice immaterial).
+    Only bonds (a, b) with a < b are read."""
+    pairs = PairTable.of(xi, rates)
     n = len(nu)
     table = {identity(n): {nu: 1}}
     level = [identity(n)]
@@ -142,7 +178,7 @@ def coefficient_table(nu: SpeciesMap, xi, rates: RateParams) -> dict[Permutation
                 if sigma[i - 1] < sigma[i]:
                     tau = adjacent_swap(sigma, i)
                     if tau not in table:
-                        table[tau] = exchange_update(i, sigma, table[sigma], xi, rates)
+                        table[tau] = exchange_update(i, sigma, table[sigma], pairs, rates)
                         next_level.append(tau)
         level = next_level
     return table
@@ -165,15 +201,13 @@ def expansion_summands(
     n = len(sigma)
     if word_to_permutation(word, n) != sigma:
         raise ValueError(f"word {word} does not evaluate to {sigma}")
+    pairs = PairTable.of(xi, rates)
     m = len(word)
     # permutation in force when letter l is applied (letters right of l done)
     perm_before = [identity(n)] * m
     for l in range(m - 2, -1, -1):
         perm_before[l] = adjacent_swap(perm_before[l + 1], word[l + 1])
-    c_at = []
-    for l in range(m):
-        rho = perm_before[l]
-        c_at.append(1 + s_factor(xi[rho[word[l] - 1] - 1], xi[rho[word[l]] - 1], rates))
+    c_at = [pairs[(rho[i - 1], rho[i])] for rho, i in zip(perm_before, word)]
 
     out: dict[SpeciesMap, list] = {}
     for mask in range(1 << m):
@@ -236,19 +270,21 @@ def second_class_coefficient(
         raise ValueError(f"slot j={j} out of range for N={n}")
     p, q = rates.p, rates.q
     inv = inverse(sigma)
+    pairs = PairTable.of(xi, rates)
 
-    def s1(k):
-        return s_factor(xi[0], xi[sigma[k - 1] - 1], rates)
+    # 1 + S between entry 1 (or 2) and the entry sigma holds in slot k
+    def c1(k):
+        return pairs[(1, sigma[k - 1])]
 
-    def s2(k):
-        return s_factor(xi[1], xi[sigma[k - 1] - 1], rates)
+    def c2(k):
+        return pairs[(2, sigma[k - 1])]
 
     if nu_pos == 1:
         if inv[0] < j:
             return 0
-        value = p - q * s1(j)
+        value = p - q * (c1(j) - 1)
         for k in range(j - 1, 0, -1):
-            value = value * (q * (1 + s1(k)))
+            value = value * (q * c1(k))
         return value
 
     if nu_pos == 2:
@@ -261,16 +297,16 @@ def second_class_coefficient(
         for i in range(1, j):
             term = 1
             for k in range(1, i):
-                term = term * (q * (1 + s2(k)))
-            term = term * (p - q * s2(i)) * (q - p * s1(i))
+                term = term * (q * c2(k))
+            term = term * (p - q * (c2(i) - 1)) * (q - p * (c1(i) - 1))
             for k in range(i + 1, j):
-                term = term * (q * (1 + s1(k)))
-            term = term * (p - q * s1(j))
+                term = term * (q * c1(k))
+            term = term * (p - q * (c1(j) - 1))
             total = total + term
         tail = 1
         for k in range(1, j):
-            tail = tail * (q * (1 + s2(k)))
-        tail = tail * (p - q * s2(j)) * (p * (1 + s1(j)))
+            tail = tail * (q * c2(k))
+        tail = tail * (p - q * (c2(j) - 1)) * (p * c1(j))
         return total + tail
 
     raise ValueError(f"nu_pos must be 1 or 2, got {nu_pos}")
@@ -305,6 +341,7 @@ def check_braid_relations(
     """
     if labelings is None:
         labelings = _default_labelings(n)
+    pairs = PairTable.of(xi, rates)
     relations: list[tuple[Word, Word]] = []
     for i in range(1, n):
         relations.append(((i, i), ()))
@@ -318,8 +355,8 @@ def check_braid_relations(
             for sigma in all_permutations(n):
                 base = {pi: 1}
                 for left, right in relations:
-                    got_l = braid_apply(left, sigma, base, xi, rates)
-                    got_r = braid_apply(right, sigma, base, xi, rates)
+                    got_l = braid_apply(left, sigma, base, pairs, rates)
+                    got_r = braid_apply(right, sigma, base, pairs, rates)
                     checks += 1
                     if got_l[0] != got_r[0] or _cleaned(got_l[1]) != _cleaned(got_r[1]):
                         return BraidReport(
@@ -333,3 +370,86 @@ def check_braid_relations(
                             },
                         )
     return BraidReport(passed=True, checks=checks)
+
+
+# --- exact sweeps at random rational points --------------------------------
+
+
+def rational_points(rng: np.random.Generator, n: int, rates: RateParams, tries: int = 200):
+    """n distinct rationals with small numerators and denominators, drawn
+    again until no ordered pair sits on a scattering pole."""
+    for _ in range(tries):
+        xi = tuple(
+            Fraction(int(rng.integers(1, 40)), int(rng.integers(41, 120)))
+            for _ in range(n)
+        )
+        if len(set(xi)) != n:
+            continue
+        if all(f_factor(v, u, rates) != 0 for u in xi for v in xi):
+            return xi
+    raise RuntimeError("could not find a pole-free rational point")
+
+
+def braid_sweep(n: int, rates: RateParams, points: int, seed: int) -> BraidReport:
+    """``check_braid_relations`` at ``points`` random rational points drawn
+    from ``seed``, stopping at the first failure.  A counterexample holds
+    strings and names its point under "xi"."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    checks = 0
+    for _ in range(points):
+        xi = rational_points(rng, n, rates)
+        rep = check_braid_relations(n, xi, rates)
+        checks += rep.checks
+        if not rep.passed:
+            counterexample = {k: str(v) for k, v in rep.counterexample.items()}
+            counterexample["xi"] = str([str(v) for v in xi])
+            return BraidReport(passed=False, checks=checks, counterexample=counterexample)
+    return BraidReport(passed=True, checks=checks)
+
+
+@dataclass
+class SecondClassReport:
+    passed: bool
+    checks: int
+    outside_validity: int
+    counterexample: dict | None = None
+
+
+def second_class_sweep(max_n: int, rates: RateParams, seed: int) -> SecondClassReport:
+    """Every second-class closed form against the recursion, for N = 2 ..
+    max_n at one random rational point per N drawn from ``seed``: both
+    start slots, every sigma and every destination slot.  Pairs outside
+    the proven region are counted, not checked; the sweep stops at the
+    first mismatch, whose counterexample holds strings."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    checks = outside = 0
+    for n in range(2, max_n + 1):
+        pairs = PairTable(rational_points(rng, n, rates), rates)
+        for nu_pos in (1, 2):
+            nu = tuple(1 if k == nu_pos else 2 for k in range(1, n + 1))
+            tables = coefficient_table(nu, pairs, rates)
+            for sigma in all_permutations(n):
+                table = tables[sigma]
+                for j in range(1, n + 1):
+                    pi = tuple(1 if k == j else 2 for k in range(1, n + 1))
+                    try:
+                        closed = second_class_coefficient(sigma, nu_pos, j, pairs, rates)
+                    except ValueError:
+                        outside += 1
+                        continue
+                    checks += 1
+                    if table.get(pi, 0) != closed:
+                        return SecondClassReport(
+                            passed=False,
+                            checks=checks,
+                            outside_validity=outside,
+                            counterexample={
+                                "n": str(n),
+                                "nu_pos": str(nu_pos),
+                                "sigma": str(sigma),
+                                "j": str(j),
+                                "recursion": str(table.get(pi, 0)),
+                                "closed_form": str(closed),
+                            },
+                        )
+    return SecondClassReport(passed=True, checks=checks, outside_validity=outside)

@@ -25,6 +25,14 @@ and a last transform along the slab index finishes each axis-j spectrum.
 All node arithmetic and every transform run in extended precision
 (clongdouble): the spectra cancel many orders below their terms.
 
+Every scattering factor a half needs is an entry of one K x K matrix
+S[k, l] = s_factor(z_k, z_l) on the node circle, evaluated (and checked
+against the pole guard) once.  The factors with the first variable are
+its columns, those within the rest grid its axis views, and each slab's
+species coefficient tables are built by the exchange recursion from a
+pair table (``species_coeff.PairTable``) whose bonds are views of 1 + S;
+only those tables are rebuilt per slab.
+
 Targets left of the start (sum x < sum y) would need an integrand growing
 like r^(sum x - sum y) on a contour held inside the pole bound, so they
 are computed on the mirrored lattice: sites negated and reversed, species
@@ -60,7 +68,7 @@ from .markov_oracle import (
     window_for,
 )
 from .permutations import all_permutations, inverse, inversion_classes, inversions
-from .species_coeff import coefficient_table, species_orbit
+from .species_coeff import PairTable, coefficient_table, species_orbit
 
 # Relative size of an imaginary residue worth surfacing.  The exact value
 # is real; the quadrature leaves a rounding-level imaginary part.
@@ -225,6 +233,30 @@ def _evaluate(
     return Evaluation(values=tuple(out), radius=radius, mirror_radius=mirror_radius)
 
 
+def _pair_view(matrix, axis_a, axis_b, ndim):
+    """A (K, K) pair matrix M[k_a, k_b] as a broadcastable view with k_a on
+    grid axis axis_a and k_b on axis_b."""
+    if axis_a > axis_b:
+        matrix, axis_a, axis_b = matrix.T, axis_b, axis_a
+    shape = [1] * ndim
+    shape[axis_a] = shape[axis_b] = len(matrix)
+    return matrix.reshape(shape)
+
+
+def _slab_pairs(z, bond, k, n, rates) -> PairTable:
+    """The pair table of slab k: xi_1 sits at node k and xi_a (a >= 2)
+    runs along axis a - 2 of the rest grid; every bond (a < b) is filled
+    in up front as a view of bond = 1 + S."""
+    n_rest = n - 1
+    rest = tuple(axis_view(z, a, n_rest) for a in range(n_rest))
+    pairs = PairTable((z[k],) + rest, rates)
+    for b in range(2, n + 1):
+        pairs[(1, b)] = axis_view(bond[k], b - 2, n_rest)
+        for a in range(2, b):
+            pairs[(a, b)] = _pair_view(bond, a - 2, b - 2, n_rest)
+    return pairs
+
+
 def _contour_sum(y, nu, targets, rates, t, spec):
     """Trapezoid values of targets with sum(x) >= sum(y), all in nu's
     species orbit, read off one symmetrized spectrum per labeling; returns
@@ -253,16 +285,19 @@ def _contour_sum(y, nu, targets, rates, t, spec):
         )
 
     trivial_table = len(species_orbit(nu)) == 1
-    rest_views = [axis_view(z, a, n_rest) for a in range(n_rest)]
 
-    # Scattering factors: pairs entirely in the rest grid are slab
-    # independent; pairs with the first variable are rows of a (K, K)
-    # matrix sliced per slab.
-    pair_rest = {}
-    for a in range(2, n + 1):
-        for b in range(2, a):
-            pair_rest[(a, b)] = s_factor(rest_views[a - 2], rest_views[b - 2], ext)
-    pair_first = s_factor(z[:, None], z[None, :], ext)  # [k_a, k_1]
+    # One scattering matrix S[k, l] = s_factor(z_k, z_l) per half, which
+    # also puts the whole node grid under the pole guard.  Every pair
+    # factor of the half is a view of it: its column k holds the factors
+    # with the first variable at slab k, its axis views those within the
+    # rest grid, and the views of 1 + S are the bonds of the slab tables.
+    scatter = s_factor(z[:, None], z[None, :], ext)
+    bond = 1 + scatter
+    pair_rest = {
+        (a, b): _pair_view(scatter, a - 2, b - 2, n_rest)
+        for a in range(2, n + 1)
+        for b in range(2, a)
+    }
 
     rest_kernel = axis_view(kernels[1], 0, n_rest)
     for a in range(3, n + 1):
@@ -326,7 +361,7 @@ def _contour_sum(y, nu, targets, rates, t, spec):
     slab_spectra = {}
     for k in range(nodes):
         if not trivial_table:
-            tables = coefficient_table(nu, (z[k],) + tuple(rest_views), ext)
+            tables = coefficient_table(nu, _slab_pairs(z, bond, k, n, ext), ext)
             sums = {}
             for (tau, axes, _), amp in zip(orders, amps):
                 for j in range(n):
@@ -347,7 +382,7 @@ def _contour_sum(y, nu, targets, rates, t, spec):
         # the first variable's own kernel
         weights = [kernels[0][k]]
         for m in range(n_rest):
-            weights.append(weights[-1] * axis_view(pair_first[:, k], m, n_rest))
+            weights.append(weights[-1] * axis_view(scatter[:, k], m, n_rest))
         for (j, pi), plane in sums.items():
             plane = np.multiply(plane, weights[j], out=work)
             # transform one axis at a time, keeping only the needed modes

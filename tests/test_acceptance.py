@@ -30,14 +30,17 @@ from asep_exact import (
     transition_probability,
 )
 from asep_exact.bethe_algebra import s_factor
-from asep_exact.cli import _rational_points
 from asep_exact.permutations import (
     all_permutations,
     canonical_word,
     inversion_classes,
     reduced_words,
 )
-from asep_exact.species_coeff import expansion_summands, species_coefficient
+from asep_exact.species_coeff import (
+    expansion_summands,
+    rational_points,
+    species_coefficient,
+)
 
 XI5 = (F(3, 7), F(2, 9), F(5, 11), F(1, 4), F(4, 19))
 
@@ -120,7 +123,7 @@ def test_criterion_3_braid_relations_exact():
         for n in (3, 4):
             rng = np.random.Generator(np.random.Philox(key=[int(p * 90), n]))
             for _ in range(20):
-                xi = _rational_points(rng, n, rates)
+                xi = rational_points(rng, n, rates)
                 rep = check_braid_relations(n, xi, rates)
                 points += 1
                 checks += rep.checks

@@ -8,6 +8,7 @@ from asep_exact import (
     RateParams,
     StateSpace,
     build_generator,
+    distribution_over_window,
     oracle_distribution,
     single_particle_series,
     window_for,
@@ -150,3 +151,17 @@ def test_window_for_controls_leakage():
     assert lo < 0 and hi > 2
     delta = min(y[0] - lo, hi - y[-1])
     assert leakage_bound(len(y), 1.0, delta) <= 1e-10
+
+
+def test_negative_time_names_t():
+    # with or without an explicit window, a negative time is a ValueError
+    # about t, not a search for a window that cannot exist
+    with pytest.raises(ValueError, match="t = -0.3"):
+        window_for((0, 1), -0.3)
+    with pytest.raises(ValueError, match="t = -0.3"):
+        distribution_over_window((0, 1), (1, 2), R05, -0.3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        distribution_over_window((0, 1), (1, 2), R05, -0.3, window=(-2, 3))
+    for window in (None, (-2, 3)):
+        with pytest.raises(ValueError, match="t = -0.3"):
+            oracle_distribution((0, 1), (1, 2), R05, -0.3, window=window)

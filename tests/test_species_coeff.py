@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from asep_exact import (
+    BethePoleError,
     RateParams,
     check_braid_relations,
     coefficient_by_expansion,
@@ -25,7 +26,8 @@ from asep_exact.permutations import (
     inversions_below,
     reduced_words,
 )
-from asep_exact.species_coeff import expansion_summands, species_orbit
+from asep_exact import species_coeff
+from asep_exact.species_coeff import PairTable, expansion_summands, species_orbit
 
 XI5 = (F(3, 7), F(2, 9), F(5, 11), F(1, 4), F(4, 19))
 RATES = RateParams.from_p(F(2, 5))
@@ -142,3 +144,52 @@ def test_reversal_word_counts():
 
 def test_inversions_below_used_by_validity_region():
     assert inversions_below((4, 3, 2, 1), 2) == 1
+
+
+def test_pair_table_gives_the_same_tables():
+    # a table filled up front, one filled lazily and shared across calls,
+    # and the points themselves give identical coefficient tables
+    for nu in ((2, 1, 2), (2, 1, 2, 1), (1, 2, 3, 3)):
+        xi = XI5[: len(nu)]
+        eager = PairTable(xi, RATES)
+        for a in range(1, len(nu) + 1):
+            for b in range(1, len(nu) + 1):
+                if a != b:
+                    eager[(a, b)]
+        shared = PairTable.of(xi, RATES)
+        assert PairTable.of(shared, RATES) is shared
+        expect = coefficient_table(nu, xi, RATES)
+        assert coefficient_table(nu, eager, RATES) == expect
+        assert coefficient_table(nu, shared, RATES) == expect
+        for sigma in all_permutations(len(nu)):
+            assert species_coefficient(sigma, nu, shared, RATES) == expect[sigma]
+
+
+def test_pole_raises_through_pair_table():
+    # at p = 2/5 the denominator f(v, u) = p + q u v - v vanishes for
+    # u = 1/2, v = 4/7, so the pair (1, 2) sits on an exact pole
+    xi = (F(1, 2), F(4, 7), F(1, 3))
+    nu = (2, 1, 2)
+    with pytest.raises(BethePoleError):
+        coefficient_table(nu, xi, RATES)
+    with pytest.raises(BethePoleError):
+        coefficient_table(nu, PairTable.of(xi, RATES), RATES)
+    with pytest.raises(BethePoleError):
+        check_braid_relations(3, xi, RATES)
+    with pytest.raises(BethePoleError):
+        second_class_coefficient((2, 1, 3), 1, 1, xi, RATES)
+
+
+def test_braid_check_evaluates_each_pair_once(monkeypatch):
+    calls = []
+
+    def counting(u, v, rates):
+        calls.append((u, v))
+        return s_factor(u, v, rates)
+
+    s_factor = species_coeff.s_factor
+    monkeypatch.setattr(species_coeff, "s_factor", counting)
+    report = check_braid_relations(4, XI5[:4], RATES)
+    assert report.passed
+    assert len(calls) <= 12
+    assert len(set(calls)) == len(calls)

@@ -25,8 +25,11 @@ from asep_exact import (
     transition_probabilities,
     transition_probability,
 )
-from asep_exact import transition_prob
+from asep_exact import species_coeff, transition_prob
+from asep_exact.bethe_algebra import s_factor
+from asep_exact.contour_quadrature import axis_view, node_points
 from asep_exact.permutations import all_permutations, inversion_classes
+from asep_exact.species_coeff import coefficient_table
 
 R07 = RateParams.from_p(0.7)
 R05 = RateParams.from_p(0.5)
@@ -247,3 +250,50 @@ def test_time_zero_probability_is_delta():
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         transition_probability((0,), (1,), (1,), (1,), R07, -0.5)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+@pytest.mark.parametrize("nu", [(2, 1, 2), (2, 1, 2, 1)])
+def test_slab_pair_table_matches_points_bitwise(nu):
+    # the engine's slab tables, read from views of one 1 + S matrix, are
+    # bit for bit the tables the exchange recursion builds from the nodes
+    n = len(nu)
+    nodes = 8
+    ext = transition_prob._extended_rates(R07)
+    z = node_points(np.longdouble(0.3), nodes)
+    bond = 1 + s_factor(z[:, None], z[None, :], ext)
+    for k in range(nodes):
+        xi = (z[k],) + tuple(axis_view(z, a, n - 1) for a in range(n - 1))
+        expect = coefficient_table(nu, xi, ext)
+        got = coefficient_table(nu, transition_prob._slab_pairs(z, bond, k, n, ext), ext)
+        assert got.keys() == expect.keys()
+        for sigma, table in expect.items():
+            assert got[sigma].keys() == table.keys()
+            for pi, value in table.items():
+                assert _same_bits(got[sigma][pi], value), (k, sigma, pi)
+
+
+def test_engine_builds_one_scattering_matrix_per_half(monkeypatch):
+    calls = []
+
+    def counting(u, v, rates):
+        calls.append(np.shape(u))
+        return s_factor(u, v, rates)
+
+    monkeypatch.setattr(transition_prob, "s_factor", counting)
+    monkeypatch.setattr(species_coeff, "s_factor", counting)
+    targets = [((1, 2, 4), (1, 2, 2)), ((-2, 0, 1), (2, 1, 2))]
+    spec = ContourSpec(nodes=16, dimension=3)
+    values = transition_probabilities((0, 1, 2), (2, 1, 2), targets, R07, 0.5, spec)
+    assert all(v.value > 0 for v in values)
+    assert calls == [(16, 1), (16, 1)]
