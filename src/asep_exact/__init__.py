@@ -15,9 +15,9 @@ from .bethe_algebra import (
 )
 from .contour_quadrature import (
     ContourSpec,
+    Quadrature,
     admissible_radius_bound,
     balanced_radius,
-    choose_radius,
     integrate_tensor,
     node_points,
 )
@@ -68,6 +68,7 @@ __all__ = [
     "ContourSpec",
     "DeltaReport",
     "DistributionReport",
+    "Quadrature",
     "RateParams",
     "SimulationResult",
     "StateSpace",
@@ -79,7 +80,6 @@ __all__ = [
     "build_generator",
     "canonical_word",
     "check_braid_relations",
-    "choose_radius",
     "coefficient_by_expansion",
     "coefficient_table",
     "compare",

@@ -39,8 +39,8 @@ import jsonschema
 
 from . import __version__
 from .bethe_algebra import BethePoleError, RateParams
-from .contour_quadrature import ContourSpec
-from .markov_oracle import oracle_distribution, window_for
+from .contour_quadrature import MAX_NODES, ContourSpec, Quadrature
+from .markov_oracle import oracle_distribution
 from .mc_simulator import CellCheck, simulate
 from .mc_simulator import compare as mc_compare
 from .permutations import inversion_classes
@@ -52,7 +52,7 @@ from .transition_prob import (
     _target_values,
     inversion_class_sum,
     sigma_summand,
-    summand_radius,
+    summand_quadrature,
 )
 
 EXIT_OK = 0
@@ -62,41 +62,6 @@ EXIT_FAIL = 2
 _INT_ARRAY = {"type": "array", "items": {"type": "integer"}, "minItems": 1}
 _WINDOW = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
 _RATE = {"type": ["number", "string"]}
-
-PROBLEM_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "problem",
-    "type": "object",
-    "properties": {
-        "p": _RATE,
-        "t": {"type": "number", "minimum": 0},
-        "N": {"type": "integer", "minimum": 1},
-        "M": {"type": "integer", "minimum": 1},
-        "Y": _INT_ARRAY,
-        "nu": _INT_ARRAY,
-        "targets": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {"X": _INT_ARRAY, "pi": _INT_ARRAY},
-                "required": ["X", "pi"],
-                "additionalProperties": False,
-            },
-        },
-        "window": _WINDOW,
-        "quad": {
-            "type": "object",
-            "properties": {
-                "nodes": {"type": "integer", "minimum": 8},
-                "radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["p", "t", "Y", "nu"],
-    "additionalProperties": False,
-}
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
@@ -113,7 +78,10 @@ INPUTS = {
     "x": (_INT_ARRAY, "target sites, comma-separated"),
     "pi": (_INT_ARRAY, "target species (default: nu); needs --x"),
     "window": (_WINDOW, "lo,hi window of targets instead of --x"),
-    "nodes": ({"type": "integer", "minimum": 8}, "nodes per contour axis"),
+    "nodes": (
+        {"type": "integer", "minimum": 8, "maximum": MAX_NODES},
+        "nodes per contour axis",
+    ),
     "radius": (
         {"type": ["number", "null"], "exclusiveMinimum": 0},
         "contour radius (default: balanced)",
@@ -137,6 +105,38 @@ INPUTS = {
     "csv": ({"type": "string"}, "write one CSV row per target or cell"),
 }
 
+PROBLEM_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "problem",
+    "type": "object",
+    "properties": {
+        "p": INPUTS["p"][0],
+        "t": INPUTS["t"][0],
+        "N": {"type": "integer", "minimum": 1},
+        "M": {"type": "integer", "minimum": 1},
+        "Y": INPUTS["y"][0],
+        "nu": INPUTS["nu"][0],
+        "targets": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "properties": {"X": INPUTS["x"][0], "pi": INPUTS["pi"][0]},
+                "required": ["X", "pi"],
+                "additionalProperties": False,
+            },
+        },
+        "window": INPUTS["window"][0],
+        "quad": {
+            "type": "object",
+            "properties": {"nodes": INPUTS["nodes"][0], "radius": INPUTS["radius"][0]},
+            "additionalProperties": False,
+        },
+    },
+    "required": ["p", "t", "Y", "nu"],
+    "additionalProperties": False,
+}
+
 # --- reports: one frozen dataclass each; REPORT_SCHEMAS is generated -----
 
 
@@ -144,23 +144,6 @@ INPUTS = {
 class Initial:
     sites: tuple[int, ...]
     species: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    nodes: int
-    radius: float | None
-    radius_rule: Literal["balanced", "explicit"]
-    mirror_radius: float | None = None
-
-    @classmethod
-    def of(cls, spec: ContourSpec, radius, mirror_radius=None, nodes=None):
-        return cls(
-            nodes=spec.nodes if nodes is None else nodes,
-            radius=radius,
-            radius_rule="explicit" if spec.radius is not None else "balanced",
-            mirror_radius=mirror_radius,
-        )
 
 
 @dataclass(frozen=True)
@@ -501,11 +484,9 @@ def _json(value):
 
 
 def _write_report(args, report):
-    doc = _json(report)
-    _validate(doc, REPORT_SCHEMAS[report.command], "report (internal)")
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(_json(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -529,20 +510,16 @@ def _radius_text(radius: float | None) -> str:
 
 def cmd_prob(args) -> int:
     rates, t, y, nu, targets, window, spec = _problem_from(args)
-    if targets is None and window is None:
-        window = window_for(y, t, args.leak_tol)
-    if targets is not None:
-        evaluation = _evaluate(y, nu, targets, rates, t, spec)
-        values = _target_values(targets, evaluation)
-        radius, mirror_radius = evaluation.radius, evaluation.mirror_radius
-        window_out, leak = None, None
-    else:
-        report_dist = distribution_over_window(
+    if targets is None:
+        dist = distribution_over_window(
             y, nu, rates, t, window=window, leak_tol=args.leak_tol, spec=spec
         )
-        values = list(report_dist.values)
-        radius, mirror_radius = report_dist.radius, report_dist.mirror_radius
-        window_out, leak = report_dist.window, report_dist.leakage
+        values, window, leak = dist.values, dist.window, dist.leakage
+        quadrature = dist.quadrature
+    else:
+        evaluation = _evaluate(y, nu, targets, rates, t, spec)
+        values, leak = _target_values(targets, evaluation), None
+        quadrature = evaluation.quadrature
     oracle = None
     if args.with_oracle:
         oracle, _, _ = oracle_distribution(y, nu, rates, t, leak_tol=args.leak_tol)
@@ -560,8 +537,8 @@ def cmd_prob(args) -> int:
         p=float(rates.p),
         t=t,
         initial=Initial(y, nu),
-        quadrature=Quadrature.of(spec, radius, mirror_radius),
-        window=window_out,
+        quadrature=quadrature,
+        window=window,
         leakage=leak,
         targets=rows,
         total_value=sum(r.value for r in rows),
@@ -573,8 +550,9 @@ def cmd_prob(args) -> int:
         _write_csv(args.csv, TargetRow, rows, omit)
     print(
         f"prob: {len(rows)} target(s), total {report.total_value:.12f}, "
-        f"max |imag| {report.max_imag:.3e}, nodes {spec.nodes}, "
-        f"radius {_radius_text(radius)}, mirror_radius {_radius_text(mirror_radius)}"
+        f"max |imag| {report.max_imag:.3e}, nodes {quadrature.nodes}, radius "
+        f"{_radius_text(quadrature.radius)}, mirror_radius "
+        f"{_radius_text(quadrature.mirror_radius)}"
     )
     for row in rows[: args.print_limit]:
         extra = f"  oracle {row.oracle:.12e}" if row.oracle is not None else ""
@@ -595,7 +573,7 @@ def cmd_verify_delta(args) -> int:
         initial=Initial(y, nu),
         margin=args.margin,
         tolerance=args.quad_tol,
-        quadrature=Quadrature.of(spec, rep.radius, rep.mirror_radius, rep.nodes),
+        quadrature=rep.quadrature,
         max_residual=rep.max_residual,
         passed=rep.passed,
     )
@@ -603,8 +581,9 @@ def cmd_verify_delta(args) -> int:
     status = "PASS" if rep.passed else "FAIL"
     print(
         f"verify-delta: {status}  max residual {rep.max_residual:.3e} "
-        f"(tol {args.quad_tol:g}) at {rep.nodes} nodes, radius "
-        f"{_radius_text(rep.radius)}, mirror_radius {_radius_text(rep.mirror_radius)}"
+        f"(tol {args.quad_tol:g}) at {rep.quadrature.nodes} nodes, radius "
+        f"{_radius_text(rep.quadrature.radius)}, mirror_radius "
+        f"{_radius_text(rep.quadrature.mirror_radius)}"
     )
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -660,7 +639,7 @@ def cmd_verify_b_classes(args) -> int:
         tolerance=args.tol,
         initial=y,
         target=x,
-        quadrature=Quadrature.of(spec, summand_radius(y, x, rates, 0.0, spec)),
+        quadrature=summand_quadrature(y, x, rates, 0.0, spec),
         classes=tuple(classes),
         passed=not any(
             v > args.tol
@@ -768,16 +747,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     rates, t, y, nu, _, window, spec = _problem_from(args)
-    result = simulate(y, nu, rates, t, args.trials, args.seed)
     if args.reference == "oracle":
-        reference, _, _ = oracle_distribution(y, nu, rates, t, leak_tol=args.leak_tol)
-    else:
-        if window is None:
-            window = window_for(y, t, args.leak_tol)
-        dist_report = distribution_over_window(
-            y, nu, rates, t, window=window, leak_tol=args.leak_tol, spec=spec
+        reference, _, _ = oracle_distribution(
+            y, nu, rates, t, leak_tol=args.leak_tol, window=window
         )
-        reference = dist_report.as_dict()
+    else:
+        reference = distribution_over_window(
+            y, nu, rates, t, window=window, leak_tol=args.leak_tol, spec=spec
+        ).as_dict()
+    result = simulate(y, nu, rates, t, args.trials, args.seed)
     rep = mc_compare(
         result,
         reference,

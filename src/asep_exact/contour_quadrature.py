@@ -7,10 +7,11 @@ that needs q*r^2 + r < p, i.e. r below the positive root
 
     r_star = (sqrt(1 + 4 p q) - 1) / (2 q)      (r_star = p when q = 0).
 
-``choose_radius`` returns safety * r_star (default safety 1/2);
-``balanced_radius`` instead minimizes a magnitude bound over admissible
-radii, which matters when targets sit far to the left of the initial
+``balanced_radius`` minimizes a magnitude bound over admissible radii,
+which matters when targets sit far to the left of the initial
 configuration and the integrand grows like r**(negative exponent).
+A ``ContourSpec`` is what a caller asks for; a ``Quadrature`` is what
+actually ran: the nodes, the radius each half used and how it was chosen.
 
 Discretization: K equispaced nodes per circle turn each contour integral
 (2*pi*i)^-1 * closed integral f dxi into the exact mean over nodes of
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -38,6 +40,8 @@ from .bethe_algebra import RateParams
 LONG_PI = np.longdouble("3.141592653589793238462643383279502884")
 
 DEFAULT_NODES = 64
+# Each contour half holds a K x K scattering matrix of extended-precision
+# complex, K^2 * 32 bytes: 32 MiB at this cap.
 MAX_NODES = 1024
 
 
@@ -48,14 +52,6 @@ def admissible_radius_bound(rates: RateParams) -> float:
     if q == 0:
         return p
     return (math.sqrt(1 + 4 * p * q) - 1) / (2 * q)
-
-
-def choose_radius(rates: RateParams, safety: float = 0.5) -> float:
-    """safety * admissible bound; the default contour when nothing is
-    known about the targets."""
-    if not 0 < safety < 1:
-        raise ValueError("safety must be in (0, 1)")
-    return safety * admissible_radius_bound(rates)
 
 
 def balanced_radius(
@@ -110,11 +106,23 @@ def balanced_radius(
 
 
 @dataclass(frozen=True)
+class Quadrature:
+    """The contour a computation ran on: nodes per axis, the radius of the
+    direct half and of the mirrored half (None when no target was computed
+    in that half), and whether the radius was given or balanced."""
+
+    nodes: int
+    radius: float | None
+    radius_rule: Literal["balanced", "explicit"]
+    mirror_radius: float | None = None
+
+
+@dataclass(frozen=True)
 class ContourSpec:
     """Quadrature settings: nodes per axis, common radius, axis count.
 
-    radius=None means the caller picks (choose_radius or balanced_radius)
-    once the rates and targets are known.
+    radius=None means the balanced radius, picked once the rates and
+    targets are known.
     """
 
     nodes: int = DEFAULT_NODES
@@ -122,12 +130,19 @@ class ContourSpec:
     dimension: int = 1
 
     def __post_init__(self):
-        if self.nodes < 8 or self.nodes % 2:
-            raise ValueError("nodes must be even and at least 8")
+        if self.nodes < 8 or self.nodes % 2 or self.nodes > MAX_NODES:
+            raise ValueError(f"nodes must be even, at least 8 and at most {MAX_NODES}")
         if self.radius is not None and self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
+
+    def quadrature(
+        self, radius: float | None, mirror_radius: float | None = None
+    ) -> Quadrature:
+        """The record of a run on this spec with the radii each half used."""
+        rule = "balanced" if self.radius is None else "explicit"
+        return Quadrature(self.nodes, radius, rule, mirror_radius)
 
 
 def assert_admissible(radius: float, rates: RateParams) -> None:
@@ -157,22 +172,19 @@ def axis_view(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 def integrate_tensor(f, spec: ContourSpec, rates: RateParams | None = None) -> complex:
     """Mean over all node tuples of f(xi_1, ..., xi_N) times the product
-    of the nodes.
+    of the nodes, on the explicit radius of ``spec`` (checked against the
+    pole bound of ``rates`` when given).
 
     ``f`` must accept N broadcastable arrays and vectorize over them.  The
     first axis is streamed so the materialized grid stays N-1 dimensional.
     Returns the approximation to the iterated (2 pi i)^-N contour integral.
     """
     if spec.radius is None:
-        if rates is None:
-            raise ValueError("radius unset and no rates given to derive one")
-        radius = choose_radius(rates)
-    else:
-        radius = spec.radius
+        raise ValueError("integrate_tensor needs an explicit radius")
     if rates is not None:
-        assert_admissible(radius, rates)
+        assert_admissible(spec.radius, rates)
     n = spec.dimension
-    z = node_points(radius, spec.nodes)
+    z = node_points(spec.radius, spec.nodes)
     weight = z / np.clongdouble(spec.nodes)
     if n == 1:
         vals = f(z) * weight

@@ -257,6 +257,10 @@ def oracle_distribution(
     _check_time(t)
     if window is None:
         window = window_for(y, t, leak_tol)
+    elif not window[0] <= min(y) <= max(y) <= window[1]:
+        raise ValueError(
+            f"window {tuple(window)} does not contain the start sites {tuple(y)}"
+        )
     space = StateSpace.build(window, len(y), nu)
     gen = build_generator(space, rates)
     dist = expm_action(gen, t, space.index[(tuple(y), tuple(nu))])

@@ -54,6 +54,7 @@ from .bethe_algebra import RateParams, dispersion, s_factor
 from .contour_quadrature import (
     MAX_NODES,
     ContourSpec,
+    Quadrature,
     assert_admissible,
     axis_view,
     balanced_radius,
@@ -106,12 +107,10 @@ class DistributionReport:
     initial_species: tuple[int, ...]
     p: float
     time: float
-    radius: float | None
-    nodes: int
+    quadrature: Quadrature
     window: tuple[int, int]
     leakage: float
     values: tuple[TargetValue, ...]
-    mirror_radius: float | None = None
 
     @property
     def total_mass(self) -> float:
@@ -127,11 +126,12 @@ class DistributionReport:
 
 @dataclass(frozen=True)
 class DeltaReport:
+    """The worst deviation from the point mass, on the quadrature of the
+    last doubling."""
+
     max_residual: float
-    nodes: int
-    radius: float | None
+    quadrature: Quadrature
     tolerance: float
-    mirror_radius: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -140,13 +140,11 @@ class DeltaReport:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """A batch's values with the contour radius each half used.  The
-    direct half holds the targets with sum(x) >= sum(y), the mirrored half
-    the rest; a radius is None when no target was computed in its half."""
+    """A batch's values with the quadrature they ran on.  The direct half
+    holds the targets with sum(x) >= sum(y), the mirrored half the rest."""
 
     values: tuple[complex, ...]
-    radius: float | None
-    mirror_radius: float | None
+    quadrature: Quadrature
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def _evaluate(
         )
         for k, v in zip(left, values):
             out[k] = v
-    return Evaluation(values=tuple(out), radius=radius, mirror_radius=mirror_radius)
+    return Evaluation(values=tuple(out), quadrature=spec.quadrature(radius, mirror_radius))
 
 
 def _pair_view(matrix, axis_a, axis_b, ndim):
@@ -496,12 +494,10 @@ def distribution_over_window(
         initial_species=nu,
         p=float(rates.p),
         time=float(t),
-        radius=evaluation.radius,
-        nodes=spec.nodes,
+        quadrature=evaluation.quadrature,
         window=window,
         leakage=leakage_bound(len(y), t, max(delta, 0)),
         values=tuple(_target_values(targets, evaluation)),
-        mirror_radius=evaluation.mirror_radius,
     )
 
 
@@ -540,27 +536,24 @@ def delta_recovery(
             or (2 * nodes) ** (n - 1) > MAX_SLAB_POINTS
         ):
             return DeltaReport(
-                max_residual=worst,
-                nodes=nodes,
-                radius=evaluation.radius,
-                tolerance=tol,
-                mirror_radius=evaluation.mirror_radius,
+                max_residual=worst, quadrature=evaluation.quadrature, tolerance=tol
             )
         nodes *= 2
 
 
-def summand_radius(
+def summand_quadrature(
     y: tuple[int, ...],
     x: tuple[int, ...],
     rates: RateParams,
     t: float = 0.0,
     spec: ContourSpec | None = None,
-) -> float:
-    """The contour radius ``sigma_summand`` integrates on for target x:
-    the explicit radius of ``spec``, else the balanced one."""
+) -> Quadrature:
+    """The quadrature ``sigma_summand`` integrates on for target x: the
+    explicit radius of ``spec``, else the balanced one."""
     n = len(y)
     spec = spec if spec is not None else ContourSpec(dimension=n)
-    return float(_resolve_radius(spec, _extended_rates(rates), t, sum(x) - sum(y), n))
+    ext = _extended_rates(rates)
+    return spec.quadrature(float(_resolve_radius(spec, ext, t, sum(x) - sum(y), n)))
 
 
 def sigma_summand(
@@ -596,7 +589,7 @@ def sigma_summand(
             value = value * s_factor(xi[a - 1], xi[b - 1], ext)
         return value
 
-    radius = summand_radius(y, x, rates, t, spec)
+    radius = summand_quadrature(y, x, rates, t, spec).radius
     return integrate_tensor(
         integrand, ContourSpec(nodes=spec.nodes, radius=radius, dimension=n), ext
     )

@@ -7,7 +7,8 @@ import json
 import jsonschema
 import pytest
 
-from asep_exact import cli
+from asep_exact import ContourSpec, RateParams, cli, delta_recovery, distribution_over_window
+from asep_exact.transition_prob import summand_quadrature
 
 
 def run(argv):
@@ -298,6 +299,21 @@ BAD_INPUTS = [  # (manifest, what the error must name)
     ),
     ({"command": "prob", "problem": "problem.json", "window": [-3, 4]}, "--window"),
     ({"command": "prob", "problem": "problem.json", "p": 0.2, "t": 3}, "--p, --t"),
+    (
+        {"command": "oracle", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2],
+         "window": [5, 10]},
+        "window (5, 10)",
+    ),
+    (
+        {"command": "compare", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2],
+         "window": [5, 10], "trials": 100, "seed": 1},
+        "window (5, 10)",
+    ),
+    (
+        {"command": "prob", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2], "x": [0, 1],
+         "nodes": 2048},
+        "at nodes:",
+    ),
 ]
 
 
@@ -325,3 +341,36 @@ def test_every_flag_is_a_manifest_key():
             assert action.dest in keys, (command, action.dest)
             if action.default is not None:
                 jsonschema.validate(action.default, keys[action.dest])
+
+
+R05, R07 = RateParams.from_p(0.5), RateParams.from_p(0.7)
+
+
+@pytest.mark.parametrize("argv, library", [
+    (
+        ["prob", "--p", "0.5", "--t", "0.3", "--y", "0,1", "--nu", "1,2", "--window", "-3,4"],
+        lambda: distribution_over_window((0, 1), (1, 2), R05, 0.3, window=(-3, 4)).quadrature,
+    ),
+    (
+        ["verify-delta", "--p", "0.7", "--y", "0,1,3", "--nodes", "8", "--quad-tol", "1e-14"],
+        lambda: delta_recovery(
+            (0, 1, 3), (1, 1, 1), R07, tol=1e-14, spec=ContourSpec(nodes=8, dimension=3)
+        ).quadrature,
+    ),
+    (
+        ["verify-b-classes", "--p", "0.7", "--y", "0,1,2", "--x", "1,2,4", "--radius", "0.2"],
+        lambda: summand_quadrature(
+            (0, 1, 2), (1, 2, 4), R07, 0.0, ContourSpec(radius=0.2, dimension=3)
+        ),
+    ),
+], ids=["prob", "verify-delta", "verify-b-classes"])
+def test_report_carries_the_library_quadrature(argv, library, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    record = library()
+    assert json.loads(out.read_text())["quadrature"] == cli._json(record)
+    if argv[0] == "prob":
+        # left targets put both halves to work
+        assert record.radius is not None and record.mirror_radius is not None
+    if argv[0] == "verify-delta":
+        assert record.nodes == 16

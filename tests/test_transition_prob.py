@@ -74,7 +74,7 @@ def test_delta_recovery_fails_at_slab_budget(monkeypatch):
     spec = ContourSpec(nodes=8, dimension=3)
     rep = delta_recovery((0, 2, 5), (1, 2, 1), R07, tol=1e-12, spec=spec)
     assert not rep.passed
-    assert rep.nodes == 8
+    assert rep.quadrature.nodes == 8
     assert rep.max_residual > 1e-12
 
 
@@ -126,9 +126,9 @@ def test_whole_window_matches_oracle(y, nu, p, t):
     if p == 1.0:
         # TASEP particles never move left
         assert all(tv.value == 0.0 and tv.imag == 0.0 for tv in left)
-        assert report.mirror_radius is None
+        assert report.quadrature.mirror_radius is None
     else:
-        assert report.mirror_radius is not None
+        assert report.quadrature.mirror_radius is not None
 
 
 def test_orbit_mismatch_is_structural_zero():
