@@ -12,6 +12,14 @@ is bounded by the leakage of the free dynamics, estimated by a rate-1
 Poisson tail per particle (a particle's own attempts are the only way the
 occupied region's hull can grow).
 
+The generator is assembled on integer arrays, not state by state: the
+states become an (m, N) site array and a species-orbit index, each state
+gets an int64 key that increases in state order (sites read as a base-W
+number, W the window width, then the orbit index), every (particle,
+direction) move is found for all states at once by shifts and masks, and
+np.searchsorted maps the destination keys back to rows.  The matrix is
+bit for bit the one the per-state moves of ``single_step_moves`` give.
+
 Everything here is deliberately independent of the contour-integral
 machinery: plain state enumeration, scipy sparse matrices, Poisson tails.
 """
@@ -124,26 +132,91 @@ class StateSpace:
         return cls(window=window, states=states, index={s: k for k, s in enumerate(states)})
 
 
+def _state_arrays(space: StateSpace):
+    """The states as an (m, N) site array and an orbit-index vector, plus
+    the sorted species orbit they index."""
+    orbit = sorted({spc for _, spc in space.states})
+    orbit_index = {spc: k for k, spc in enumerate(orbit)}
+    m = len(space.states)
+    n = len(orbit[0])
+    sites = np.fromiter(
+        itertools.chain.from_iterable(x for x, _ in space.states), np.int64, m * n
+    ).reshape(m, n)
+    orbit_of = np.fromiter((orbit_index[spc] for _, spc in space.states), np.int64, m)
+    return sites, orbit_of, orbit, orbit_index
+
+
 def build_generator(space: StateSpace, rates: RateParams) -> sparse.csr_matrix:
     """Sparse jump-rate matrix Q with rows indexed by the from-state;
     off-diagonal entries are move rates into the window, the diagonal the
-    negated row sum (window-exiting moves dropped)."""
+    negated row sum (window-exiting moves dropped).
+
+    Each move (particle i, right then left) is found for all states at
+    once: an empty target site is a hop (censored outside the window), an
+    occupied one a swap when the mover's species is larger.  A hop shifts
+    the state key by a fixed amount, a swap replaces its orbit index from
+    a table.  The diagonal adds the rates in the same particle-then-
+    direction order as single_step_moves, so Q is the same bit for bit.
+    """
     lo, hi = space.window
-    rows, cols, vals = [], [], []
-    for k, (sites, species) in enumerate(space.states):
-        total = 0.0
-        for (new_sites, new_species), rate in single_step_moves((sites, species), rates).items():
-            if new_sites[0] < lo or new_sites[-1] > hi:
+    sites, orbit_of, orbit, orbit_index = _state_arrays(space)
+    m, n = sites.shape
+    width, size = hi - lo + 1, len(orbit)
+    if width**n * size > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"window {space.window} is too wide for int64 state keys "
+            f"with {n} particles and {size} species orders"
+        )
+    place = size * width ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = (sites - lo) @ place + orbit_of
+
+    # per orbit entry and neighbour pair (b, b + 1): +1 when the left
+    # species is larger, -1 when the right one is, so a mover stepping by
+    # `step` wins a swap where the entry equals step; and the orbit index
+    # after swapping the pair
+    pairs = range(n - 1)
+    order = np.array([[(s[b] > s[b + 1]) - (s[b] < s[b + 1]) for b in pairs] for s in orbit])
+    swapped = np.array(
+        [[orbit_index[s[:b] + (s[b + 1], s[b]) + s[b + 2:]] for b in pairs] for s in orbit],
+        np.int64,
+    )
+
+    rows, dest, vals = [], [], []
+    total = np.zeros(m)
+    for i in range(n):
+        for step, rate in ((1, float(rates.p)), (-1, float(rates.q))):
+            if rate == 0:
                 continue
-            rows.append(k)
-            cols.append(space.index[(new_sites, new_species)])
-            vals.append(rate)
-            total += rate
-        rows.append(k)
-        cols.append(k)
-        vals.append(-total)
-    m = len(space.states)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+            target = sites[:, i] + step
+            j = i + step
+            occupied = np.zeros(m, bool)
+            moves = []
+            if 0 <= j < n:
+                b = min(i, j)
+                occupied = sites[:, j] == target
+                swap = np.flatnonzero(occupied & (order[orbit_of, b] == step))
+                moves.append((swap, keys[swap] - orbit_of[swap] + swapped[orbit_of[swap], b]))
+            hop = np.flatnonzero(~occupied & (target >= lo) & (target <= hi))
+            moves.append((hop, keys[hop] + step * place[i]))
+            outflow = np.zeros(m)
+            for found, to in moves:
+                rows.append(found)
+                dest.append(to)
+                vals.append(np.full(len(found), rate))
+                outflow[found] = rate
+            total += outflow
+    dest_keys = np.concatenate(dest)
+    cols = np.minimum(np.searchsorted(keys, dest_keys), m - 1)
+    if not np.array_equal(keys[cols], dest_keys):
+        raise ValueError("state space is missing a move's destination")
+    diagonal = np.arange(m)
+    return sparse.csr_matrix(
+        (
+            np.concatenate(vals + [-total]),
+            (np.concatenate(rows + [diagonal]), np.concatenate([cols, diagonal])),
+        ),
+        shape=(m, m),
+    )
 
 
 def expm_action(generator: sparse.csr_matrix, t: float, start_index: int) -> np.ndarray:
@@ -266,7 +339,7 @@ def oracle_distribution(
     dist = expm_action(gen, t, space.index[(tuple(y), tuple(nu))])
     delta = min(min(y) - window[0], window[1] - max(y))
     return (
-        {cfg: float(pr) for cfg, pr in zip(space.states, dist)},
+        dict(zip(space.states, dist.tolist())),
         window,
         leakage_bound(len(y), t, delta),
     )

@@ -11,18 +11,26 @@ time t with zero time-step bias.
 
 Each trial gets its own counter-mode stream keyed by (seed, trial index),
 which makes runs reproducible bit for bit and independent of trial order
-or batching.
+or batching.  Philox is counter-based, so one bit generator serves every
+trial: it is re-keyed to (seed, trial) through its state setter, and the
+trial's Poisson count, movers and uniforms are drawn in that order, the
+same draws a fresh Philox(key=[seed, trial]) would give.  The attempts of
+a block of trials are then applied together on padded arrays, and the
+final configurations are counted by packing each row into one integer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bethe_algebra import RateParams
-from .markov_oracle import Config, check_config
+from .markov_oracle import Config, _check_time, check_config
+
+# Trials whose attempts are applied together: the padded arrays of a block
+# hold BLOCK_TRIALS times its longest trial's attempts.
+BLOCK_TRIALS = 1024
 
 
 @dataclass(frozen=True)
@@ -62,26 +70,75 @@ class ComparisonReport:
         return max((abs(c.z) for c in self.checked), default=0.0)
 
 
+_NO_ATTEMPTS = (np.empty(0, np.int64), np.empty(0))
+
+
+def _draw(rng, n: int, t: float):
+    """One trial's draws from rng, in the fixed order Poisson(N t)
+    attempts, their movers, their uniforms (rightward when below p)."""
+    attempts = int(rng.poisson(n * t))
+    if not attempts:
+        return _NO_ATTEMPTS
+    movers = rng.integers(0, n, size=attempts)
+    return movers, rng.random(size=attempts)
+
+
+def _run_block(y, nu, p: float, draws) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the attempts of a block of trials, all trials at once.
+
+    ``draws`` holds one (movers, uniforms) pair per trial.  They are
+    padded to the longest trial; attempt k of every trial that has one is
+    applied in one array step: a hop when the target site is empty, a
+    swap when the neighbour there has a smaller species, else nothing.
+    Returns the final (trials, N) site and species arrays.
+    """
+    trials, n = len(draws), len(y)
+    lengths = np.array([len(movers) for movers, _ in draws])
+    padded = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    movers = np.zeros(padded.shape, np.int64)
+    step = np.zeros(padded.shape, np.int8)
+    movers[padded] = np.concatenate([m for m, _ in draws])
+    step[padded] = np.where(np.concatenate([u for _, u in draws]) < p, 1, -1)
+    sites = np.tile(np.asarray(y, np.int64), (trials, 1))
+    species = np.tile(np.asarray(nu, np.int64), (trials, 1))
+    rows = np.arange(trials)
+    # a padding step is 0: its target is the mover's own site, occupied by
+    # an equal species, so it neither hops nor swaps
+    for i, s in zip(movers.T, step.T):
+        j = i + s
+        neighbour = np.clip(j, 0, n - 1)
+        target = sites[rows, i] + s
+        occupied = (j == neighbour) & (sites[rows, neighbour] == target)
+        hop = ~occupied
+        sites[rows[hop], i[hop]] = target[hop]
+        mine, theirs = species[rows, i], species[rows, neighbour]
+        swap = occupied & (mine > theirs)
+        species[rows[swap], i[swap]] = theirs[swap]
+        species[rows[swap], neighbour[swap]] = mine[swap]
+    return sites, species
+
+
 def run_trial(
     y: tuple[int, ...], nu: tuple[int, ...], rates: RateParams, t: float, rng
 ) -> Config:
-    sites = list(y)
-    species = list(nu)
-    n = len(sites)
-    attempts = int(rng.poisson(n * t))
-    if attempts:
-        movers = rng.integers(0, n, size=attempts)
-        rightward = rng.random(size=attempts) < float(rates.p)
-        for i, right in zip(movers, rightward):
-            step = 1 if right else -1
-            target = sites[i] + step
-            j = i + step
-            if 0 <= j < n and sites[j] == target:
-                if species[i] > species[j]:
-                    species[i], species[j] = species[j], species[i]
-            else:
-                sites[i] = target
-    return (tuple(sites), tuple(species))
+    sites, species = _run_block(y, nu, float(rates.p), [_draw(rng, len(y), t)])
+    return (tuple(sites[0].tolist()), tuple(species[0].tolist()))
+
+
+def _count_rows(counts: dict, sites: np.ndarray, species: np.ndarray) -> None:
+    """Add each final configuration of a block to counts, in the order of
+    first occurrence.  A row is packed into one integer key, its entries
+    read as digits in the smallest base that holds them all."""
+    rows = np.concatenate([sites - sites.min(), species - species.min()], axis=1)
+    base = int(rows.max()) + 1
+    if base ** rows.shape[1] > np.iinfo(np.int64).max:
+        keys = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    else:
+        keys = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
+    _, first, number = np.unique(keys, return_index=True, return_counts=True)
+    for k in np.argsort(first):
+        cfg = (tuple(sites[first[k]].tolist()), tuple(species[first[k]].tolist()))
+        counts[cfg] = counts.get(cfg, 0) + int(number[k])
 
 
 def simulate(
@@ -93,12 +150,22 @@ def simulate(
     seed: int,
 ) -> SimulationResult:
     check_config(tuple(y), tuple(nu))
+    _check_time(t)
     if trials < 1:
         raise ValueError("trials must be positive")
-    counts: Counter = Counter()
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-        counts[run_trial(y, nu, rates, t, rng)] += 1
+    bits = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    n, p = len(y), float(rates.p)
+    counts: dict[Config, int] = {}
+    for start in range(0, trials, BLOCK_TRIALS):
+        draws = []
+        for trial in range(start, min(start + BLOCK_TRIALS, trials)):
+            key[1] = trial
+            bits.state = state
+            draws.append(_draw(rng, n, t))
+        _count_rows(counts, *_run_block(y, nu, p, draws))
     return SimulationResult(
         initial_sites=tuple(y),
         initial_species=tuple(nu),
@@ -106,7 +173,7 @@ def simulate(
         time=float(t),
         trials=trials,
         seed=seed,
-        counts=dict(counts),
+        counts=counts,
     )
 
 

@@ -200,6 +200,10 @@ def _evaluate(
         raise ValueError(f"time must be nonnegative, got {t}")
     n = len(y)
     spec = spec if spec is not None else ContourSpec(dimension=n)
+    if spec.dimension != n:
+        raise ValueError(
+            f"spec.dimension is {spec.dimension}, but the start has {n} particles"
+        )
     for x, pi in targets:
         check_config(tuple(x), tuple(pi))
         if len(x) != n:

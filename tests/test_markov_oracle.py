@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse import diags as sparse_diags
 
 from asep_exact import (
@@ -10,6 +11,7 @@ from asep_exact import (
     build_generator,
     distribution_over_window,
     oracle_distribution,
+    simulate,
     single_particle_series,
     window_for,
 )
@@ -99,6 +101,73 @@ def test_generator_conserves_window_mass():
     assert off_diagonal.min() >= 0.0
 
 
+def _generator_from_moves(space, rates):
+    """Q assembled state by state from single_step_moves: the reference
+    for the array-built generator."""
+    lo, hi = space.window
+    rows, cols, vals = [], [], []
+    for k, config in enumerate(space.states):
+        total = 0.0
+        for (sites, species), rate in single_step_moves(config, rates).items():
+            if sites[0] < lo or sites[-1] > hi:
+                continue
+            rows.append(k)
+            cols.append(space.index[(sites, species)])
+            vals.append(rate)
+            total += rate
+        rows.append(k)
+        cols.append(k)
+        vals.append(-total)
+    m = len(space.states)
+    return csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize(
+    "y, nu, window",
+    [
+        ((0,), (1,), None),
+        ((0, 1), (1, 1), None),
+        ((0, 2), (2, 1), None),
+        ((0, 1, 3), (1, 1, 1), None),
+        ((0, 1, 3), (3, 1, 2), None),
+        ((0, 1, 2, 3), (1, 1, 1, 1), (-2, 6)),
+        ((0, 1, 2, 3), (2, 1, 2, 1), (-2, 6)),
+        ((0, 1, 2, 3), (3, 1, 2, 1), (-1, 5)),
+        ((0, 1, 2, 3), (3, 1, 2, 1), (0, 3)),
+    ],
+)
+def test_generator_equals_per_state_assembly(y, nu, window, p):
+    # leak-controlled windows up to N = 3; at N = 4 windows far narrower
+    # than the leakage bound asks for, down to one site set, so censoring
+    # at both edges is hit on most states
+    rates = RateParams.from_p(p)
+    window = window or window_for(y, 0.2)
+    space = StateSpace.build(window, len(y), nu)
+    gen = build_generator(space, rates)
+    ref = _generator_from_moves(space, rates)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(gen, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_generator_rejects_keys_beyond_int64():
+    # 2^40 sites per coordinate: two coordinates need 2^80 > 2^63 keys
+    window = (0, 2**40)
+    states = (((0, 1), (1, 1)),)
+    space = StateSpace(window=window, states=states, index={states[0]: 0})
+    with pytest.raises(ValueError, match="int64"):
+        build_generator(space, R07)
+
+
+def test_generator_rejects_incomplete_state_space():
+    # the hop (0, 1) -> (0, 2) lands on a state the space does not list
+    states = (((0, 1), (1, 1)),)
+    space = StateSpace(window=(0, 2), states=states, index={states[0]: 0})
+    with pytest.raises(ValueError, match="missing"):
+        build_generator(space, R07)
+
+
 def test_oracle_distribution_masses():
     dist, window, leak = oracle_distribution((0, 1), (2, 1), R07, 0.5)
     assert leak <= 1e-10
@@ -165,3 +234,5 @@ def test_negative_time_names_t():
     for window in (None, (-2, 3)):
         with pytest.raises(ValueError, match="t = -0.3"):
             oracle_distribution((0, 1), (1, 2), R05, -0.3, window=window)
+    with pytest.raises(ValueError, match="t = -0.3"):
+        simulate((0, 1), (1, 2), R05, -0.3, 10, 1)

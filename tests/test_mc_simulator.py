@@ -1,9 +1,10 @@
 """Uniformized Monte Carlo sampler and its binomial comparison."""
 
+import numpy as np
 import pytest
 
 from asep_exact import RateParams, compare, oracle_distribution, simulate
-from asep_exact.mc_simulator import run_trial
+from asep_exact.mc_simulator import BLOCK_TRIALS, run_trial
 
 R07 = RateParams.from_p(0.7)
 
@@ -31,6 +32,55 @@ def test_counts_total_and_multiset_conserved():
         assert sorted(species) == [1, 1, 2]
         assert len(set(sites)) == 3
         assert sites == tuple(sorted(sites))
+
+
+def _reference_trial(y, nu, rates, t, rng):
+    """One trial stepped attempt by attempt, with its own draws in the
+    order Poisson count, movers, uniforms."""
+    sites, species = list(y), list(nu)
+    n = len(sites)
+    attempts = int(rng.poisson(n * t))
+    if attempts:
+        movers = rng.integers(0, n, size=attempts)
+        rightward = rng.random(size=attempts) < float(rates.p)
+        for i, right in zip(movers, rightward):
+            step = 1 if right else -1
+            j = i + step
+            if 0 <= j < n and sites[j] == sites[i] + step:
+                if species[i] > species[j]:
+                    species[i], species[j] = species[j], species[i]
+            else:
+                sites[i] += step
+    return (tuple(sites), tuple(species))
+
+
+@pytest.mark.parametrize(
+    "y, nu, p, t, trials",
+    [
+        ((0, 1, 2), (2, 1, 2), 0.7, 0.5, BLOCK_TRIALS + 37),
+        ((0, 1), (1, 2), 0.7, 0.0, 50),
+        ((0, 1, 2, 3), (2, 1, 2, 1), 1.0, 0.5, 300),
+        ((0,), (1,), 0.5, 2.0, 300),
+        ((0, 1, 2, 3), (3, 1, 2, 1), 0.5, 2.0, 300),
+        # labels so far apart that a row no longer packs into one int64
+        ((0, 1), (1, 10**6), 0.7, 1.0, 300),
+    ],
+)
+def test_simulate_equals_per_trial_streams(y, nu, p, t, trials):
+    # every trial's draws come from a fresh Philox(key=[seed, trial]),
+    # so the blocked sampler must give the same histogram, cell for cell
+    # and in the same first-seen order
+    rates, seed = RateParams.from_p(p), 2024
+    counts = {}
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
+        cfg = _reference_trial(y, nu, rates, t, rng)
+        counts[cfg] = counts.get(cfg, 0) + 1
+        if trial < 20:
+            rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
+            assert run_trial(y, nu, rates, t, rng) == cfg
+    result = simulate(y, nu, rates, t, trials, seed)
+    assert list(result.counts.items()) == list(counts.items())
 
 
 def test_run_trial_zero_time_is_identity():

@@ -252,6 +252,17 @@ def test_negative_time_rejected():
         transition_probability((0,), (1,), (1,), (1,), R07, -0.5)
 
 
+@pytest.mark.parametrize("dimension", [1, 3, 7])
+def test_spec_dimension_must_match_particle_count(dimension):
+    # the engine integrates over len(y) axes; a spec declaring another
+    # count is an input error, not a silently ignored field
+    spec = ContourSpec(nodes=32, dimension=dimension)
+    with pytest.raises(ValueError, match=f"dimension is {dimension}.*2 particles"):
+        transition_probability((0, 1), (1, 2), (1, 2), (1, 2), R07, 0.5, spec)
+    with pytest.raises(ValueError, match="dimension"):
+        distribution_over_window((0, 1), (1, 2), R07, 0.5, spec=spec)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (
