@@ -16,7 +16,7 @@ trial: it is re-keyed to (seed, trial) through its state setter, and the
 trial's Poisson count, movers and uniforms are drawn in that order, the
 same draws a fresh Philox(key=[seed, trial]) would give.  The attempts of
 a block of trials are then applied together on padded arrays, and the
-final configurations are counted by packing each row into one integer.
+block's final configurations are counted as unique rows.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ import numpy as np
 from .bethe_algebra import RateParams
 from .markov_oracle import Config, _check_time, check_config
 
-# Trials whose attempts are applied together: the padded arrays of a block
-# hold BLOCK_TRIALS times its longest trial's attempts.
+# A block of trials, whose attempts are applied together, closes at
+# BLOCK_TRIALS trials or once its padded arrays (trials times the longest
+# trial's attempts) reach BLOCK_CELLS, so a block holds a bounded number of
+# attempts unless one trial alone exceeds it.
 BLOCK_TRIALS = 1024
+BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,26 +99,29 @@ def _run_block(y, nu, p: float, draws) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.array([len(movers) for movers, _ in draws])
     padded = np.arange(lengths.max(initial=0)) < lengths[:, None]
     movers = np.zeros(padded.shape, np.int64)
-    step = np.zeros(padded.shape, np.int8)
+    step = np.zeros(padded.shape, np.int64)
     movers[padded] = np.concatenate([m for m, _ in draws])
     step[padded] = np.where(np.concatenate([u for _, u in draws]) < p, 1, -1)
-    sites = np.tile(np.asarray(y, np.int64), (trials, 1))
-    species = np.tile(np.asarray(nu, np.int64), (trials, 1))
-    rows = np.arange(trials)
-    # a padding step is 0: its target is the mover's own site, occupied by
-    # an equal species, so it neither hops nor swaps
-    for i, s in zip(movers.T, step.T):
-        j = i + s
-        neighbour = np.clip(j, 0, n - 1)
-        target = sites[rows, i] + s
-        occupied = (j == neighbour) & (sites[rows, neighbour] == target)
-        hop = ~occupied
-        sites[rows[hop], i[hop]] = target[hop]
-        mine, theirs = species[rows, i], species[rows, neighbour]
+    # flat positions in the (trials, N) arrays of each mover and of the
+    # neighbour on its side; with no neighbour there (the end of the line,
+    # or a padding step of 0) the mover stands in for it, which never
+    # blocks a real step and always blocks a padding one without a swap
+    beside = movers + step
+    row = np.arange(0, trials * n, n)[:, None]
+    neighbour = row + np.where((beside >= 0) & (beside < n), beside, movers)
+    movers += row
+    sites = np.tile(np.asarray(y, np.int64), trials)
+    species = np.tile(np.asarray(nu, np.int64), trials)
+    for i, k, s in zip(movers.T, neighbour.T, step.T):
+        here = sites[i]
+        target = here + s
+        occupied = sites[k] == target
+        sites[i] = np.where(occupied, here, target)
+        mine, theirs = species[i], species[k]
         swap = occupied & (mine > theirs)
-        species[rows[swap], i[swap]] = theirs[swap]
-        species[rows[swap], neighbour[swap]] = mine[swap]
-    return sites, species
+        species[i] = np.where(swap, theirs, mine)
+        species[k] = np.where(swap, mine, theirs)
+    return sites.reshape(trials, n), species.reshape(trials, n)
 
 
 def run_trial(
@@ -127,15 +133,9 @@ def run_trial(
 
 def _count_rows(counts: dict, sites: np.ndarray, species: np.ndarray) -> None:
     """Add each final configuration of a block to counts, in the order of
-    first occurrence.  A row is packed into one integer key, its entries
-    read as digits in the smallest base that holds them all."""
-    rows = np.concatenate([sites - sites.min(), species - species.min()], axis=1)
-    base = int(rows.max()) + 1
-    if base ** rows.shape[1] > np.iinfo(np.int64).max:
-        keys = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-    else:
-        keys = rows @ base ** np.arange(rows.shape[1], dtype=np.int64)
-    _, first, number = np.unique(keys, return_index=True, return_counts=True)
+    first occurrence."""
+    rows = np.concatenate([sites, species], axis=1)
+    _, first, number = np.unique(rows, axis=0, return_index=True, return_counts=True)
     for k in np.argsort(first):
         cfg = (tuple(sites[first[k]].tolist()), tuple(species[first[k]].tolist()))
         counts[cfg] = counts.get(cfg, 0) + int(number[k])
@@ -159,13 +159,19 @@ def simulate(
     key = state["state"]["key"]
     n, p = len(y), float(rates.p)
     counts: dict[Config, int] = {}
-    for start in range(0, trials, BLOCK_TRIALS):
-        draws = []
-        for trial in range(start, min(start + BLOCK_TRIALS, trials)):
-            key[1] = trial
-            bits.state = state
-            draws.append(_draw(rng, n, t))
-        _count_rows(counts, *_run_block(y, nu, p, draws))
+    draws, longest = [], 0
+    for trial in range(trials):
+        key[1] = trial
+        bits.state = state
+        draws.append(_draw(rng, n, t))
+        longest = max(longest, len(draws[-1][0]))
+        if (
+            len(draws) == BLOCK_TRIALS
+            or len(draws) * longest >= BLOCK_CELLS
+            or trial == trials - 1
+        ):
+            _count_rows(counts, *_run_block(y, nu, p, draws))
+            draws, longest = [], 0
     return SimulationResult(
         initial_sites=tuple(y),
         initial_species=tuple(nu),

@@ -62,25 +62,56 @@ def _reference_trial(y, nu, rates, t, rng):
         ((0, 1, 2, 3), (2, 1, 2, 1), 1.0, 0.5, 300),
         ((0,), (1,), 0.5, 2.0, 300),
         ((0, 1, 2, 3), (3, 1, 2, 1), 0.5, 2.0, 300),
-        # labels so far apart that a row no longer packs into one int64
         ((0, 1), (1, 10**6), 0.7, 1.0, 300),
+        # few long trials: about 2,000 attempts each
+        ((0, 1, 2, 3), (2, 1, 2, 1), 0.7, 500.0, 5),
     ],
 )
 def test_simulate_equals_per_trial_streams(y, nu, p, t, trials):
     # every trial's draws come from a fresh Philox(key=[seed, trial]),
     # so the blocked sampler must give the same histogram, cell for cell
     # and in the same first-seen order
-    rates, seed = RateParams.from_p(p), 2024
+    rates = RateParams.from_p(p)
+    counts = _reference_counts(y, nu, rates, t, trials, seed=2024, run_trial_upto=20)
+    result = simulate(y, nu, rates, t, trials, 2024)
+    assert list(result.counts.items()) == list(counts.items())
+
+
+def test_blocks_close_at_the_cell_budget(monkeypatch):
+    # with a budget of 3,000 padded cells, trials of about 400 attempts
+    # run in blocks of a few trials, and the histogram does not change
+    from asep_exact import mc_simulator
+
+    monkeypatch.setattr(mc_simulator, "BLOCK_CELLS", 3000)
+    blocks = []
+    run_block = mc_simulator._run_block
+
+    def recording(y, nu, p, draws):
+        blocks.append((len(draws), max(len(m) for m, _ in draws)))
+        return run_block(y, nu, p, draws)
+
+    monkeypatch.setattr(mc_simulator, "_run_block", recording)
+    y, nu, rates = (0, 1, 2, 3), (2, 1, 2, 1), R07
+    result = simulate(y, nu, rates, 100.0, 40, 8)
+    assert len(blocks) >= 5 and sum(b for b, _ in blocks) == 40
+    # every block but the last closed on reaching the budget
+    assert all(b * longest >= 3000 for b, longest in blocks[:-1])
+    counts = _reference_counts(y, nu, rates, 100.0, 40, seed=8)
+    assert list(result.counts.items()) == list(counts.items())
+
+
+def _reference_counts(y, nu, rates, t, trials, seed, run_trial_upto=0):
+    """Histogram of per-trial reference runs in first-seen order; the
+    first run_trial_upto trials are also checked through run_trial."""
     counts = {}
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
         cfg = _reference_trial(y, nu, rates, t, rng)
         counts[cfg] = counts.get(cfg, 0) + 1
-        if trial < 20:
+        if trial < run_trial_upto:
             rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
             assert run_trial(y, nu, rates, t, rng) == cfg
-    result = simulate(y, nu, rates, t, trials, seed)
-    assert list(result.counts.items()) == list(counts.items())
+    return counts
 
 
 def test_run_trial_zero_time_is_identity():
