@@ -24,6 +24,14 @@ built on them, so one table serves every call made at one point (the
 exact sweeps build one per rational point; the contour engine fills one
 per slab with views of its scattering matrix).
 
+The exact braid sweep runs on integer numerators.  At a rational point
+``PairTable.over_common_denominator`` writes p = P/R, q = Q/R and every
+bond as the integer D(1 + S)/R over one common D > 0; the same
+``exchange_update``, run at scale D on those integers, returns D times
+the exact letter, so a relation's two sides are compared with ``==``
+after scaling both to the same power of D.  The second-class sweep, a
+small share of the cost, stays on ``Fraction``.
+
 ``coefficient_by_expansion`` evaluates the same coefficient as an explicit
 sum over subsets of the word's letters (one branch per choice of the
 alpha-term or the beta-term at each letter), and the second-class particle
@@ -35,8 +43,11 @@ rational points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +87,35 @@ class PairTable(dict):
         value = self[pair] = 1 + s_factor(self.xi[a - 1], self.xi[b - 1], self.rates)
         return value
 
+    def over_common_denominator(self):
+        """``(bonds, rates, D)`` over one common denominator: p = P/R and
+        q = Q/R give ``rates`` (P, Q), and ``bonds[(a, b)]`` is the integer
+        D(1 + S_ab)/R for every ordered pair.  A letter of
+        ``exchange_update`` on these at scale D is D times the exact letter,
+        computed in ``int``.  None unless the points and rates are rational."""
+        if not self.rates.exact or not all(isinstance(v, Rational) for v in self.xi):
+            return None
+        p, q = Fraction(self.rates.p), Fraction(self.rates.q)
+        r = math.lcm(p.denominator, q.denominator)
+        n = len(self.xi)
+        over_r = {
+            (a, b): Fraction(self[(a, b)]) / r
+            for a in range(1, n + 1)
+            for b in range(1, n + 1)
+            if a != b
+        }
+        # the smallest D > 0 that makes every D (1 + S) / R an integer
+        scale = math.lcm(*(c.denominator for c in over_r.values()))
+        bonds = {pair: c.numerator * (scale // c.denominator) for pair, c in over_r.items()}
+        return bonds, IntegerRates(int(p * r), int(q * r)), scale
+
+
+class IntegerRates(NamedTuple):
+    """The numerators P, Q of p = P/R and q = Q/R over their common R."""
+
+    p: int
+    q: int
+
 
 def species_orbit(nu: SpeciesMap) -> list[SpeciesMap]:
     """All distinct rearrangements of nu, lexicographically sorted."""
@@ -110,13 +150,29 @@ def _cleaned(table: CoeffTable) -> CoeffTable:
     return {pi: v for pi, v in table.items() if not _is_zero_scalar(v)}
 
 
+def _times(table: CoeffTable, factor) -> CoeffTable:
+    """The cleaned table with every entry multiplied by factor > 0."""
+    return {pi: factor * v for pi, v in table.items() if not _is_zero_scalar(v)}
+
+
 def exchange_update(
-    i: int, sigma: Permutation, h: CoeffTable, pairs: PairTable, rates: RateParams
+    i: int,
+    sigma: Permutation,
+    h: CoeffTable,
+    pairs: PairTable,
+    rates: RateParams,
+    scale: int = 1,
 ) -> CoeffTable:
     """Apply the exchange operator at bond i to a coefficient table sitting
     above sigma.  The bond factor 1 + S is the one at the entries sigma
     currently holds in slots i and i+1; the returned table sits above
-    adjacent_swap(sigma, i)."""
+    adjacent_swap(sigma, i).
+
+    At ``scale`` D, with the integer bonds and rates of
+    ``PairTable.over_common_denominator``, each entry becomes
+    D h(pi) + c (alpha h(swap pi) - beta h(pi)): D times the exact letter,
+    in ``int``.  At scale 1 the letter is the plain one, with the same
+    operations in the same order."""
     c = pairs[(sigma[i - 1], sigma[i])]
     support = set(h)
     support.update(label_swap(pi, i) for pi in h)
@@ -124,20 +180,28 @@ def exchange_update(
     for pi in support:
         alpha, beta = swap_rates(i, pi, rates)
         value = h.get(pi, 0)
+        kept = value if scale == 1 else scale * value
         if alpha != 0 or beta != 0:
-            value = value + c * (alpha * h.get(label_swap(pi, i), 0) - beta * value)
+            value = kept + c * (alpha * h.get(label_swap(pi, i), 0) - beta * value)
+        else:
+            value = kept
         if not _is_zero_scalar(value):
             out[pi] = value
     return out
 
 
 def braid_apply(
-    word: Word, sigma: Permutation, h: CoeffTable, pairs: PairTable, rates: RateParams
+    word: Word,
+    sigma: Permutation,
+    h: CoeffTable,
+    pairs: PairTable,
+    rates: RateParams,
+    scale: int = 1,
 ):
     """Apply a word of exchange operators (rightmost letter first) to the
     pair (sigma, h); returns the new pair."""
     for i in reversed(word):
-        h = exchange_update(i, sigma, h, pairs, rates)
+        h = exchange_update(i, sigma, h, pairs, rates, scale)
         sigma = adjacent_swap(sigma, i)
     return sigma, h
 
@@ -337,11 +401,15 @@ def check_braid_relations(
     to the identity, commute at distance, and satisfy the braid relation.
 
     Exact equality (use rational xi and rates); the first violated pair is
-    returned as a counterexample.
+    returned as a counterexample.  At a rational point the walk runs on the
+    integers of ``PairTable.over_common_denominator``, and each side is
+    scaled by D to the other side's length before the comparison.
     """
     if labelings is None:
         labelings = _default_labelings(n)
     pairs = PairTable.of(xi, rates)
+    walk = pairs.over_common_denominator() or (pairs, rates, 1)
+    scale = walk[2]
     relations: list[tuple[Word, Word]] = []
     for i in range(1, n):
         relations.append(((i, i), ()))
@@ -355,10 +423,13 @@ def check_braid_relations(
             for sigma in all_permutations(n):
                 base = {pi: 1}
                 for left, right in relations:
-                    got_l = braid_apply(left, sigma, base, pairs, rates)
-                    got_r = braid_apply(right, sigma, base, pairs, rates)
+                    end_l, h_l = braid_apply(left, sigma, base, *walk)
+                    end_r, h_r = braid_apply(right, sigma, base, *walk)
                     checks += 1
-                    if got_l[0] != got_r[0] or _cleaned(got_l[1]) != _cleaned(got_r[1]):
+                    # both sides at D ** (len(left) + len(right))
+                    if end_l != end_r or _times(h_l, scale ** len(right)) != _times(
+                        h_r, scale ** len(left)
+                    ):
                         return BraidReport(
                             passed=False,
                             checks=checks,

@@ -181,6 +181,18 @@ def _reflect(sites: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-s for s in reversed(sites))
 
 
+def _spec_for(spec: ContourSpec | None, n: int) -> ContourSpec:
+    """``spec``, or the default one, for a start of n particles; a spec of
+    another dimension is a ValueError."""
+    if spec is None:
+        return ContourSpec(dimension=n)
+    if spec.dimension != n:
+        raise ValueError(
+            f"spec.dimension is {spec.dimension}, but the start has {n} particles"
+        )
+    return spec
+
+
 def _evaluate(
     y: tuple[int, ...],
     nu: tuple[int, ...],
@@ -199,11 +211,7 @@ def _evaluate(
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     n = len(y)
-    spec = spec if spec is not None else ContourSpec(dimension=n)
-    if spec.dimension != n:
-        raise ValueError(
-            f"spec.dimension is {spec.dimension}, but the start has {n} particles"
-        )
+    spec = _spec_for(spec, n)
     for x, pi in targets:
         check_config(tuple(x), tuple(pi))
         if len(x) != n:
@@ -491,7 +499,6 @@ def distribution_over_window(
     delta = min(min(y) - window[0], window[1] - max(y))
     orbit = species_orbit(nu)
     targets = _window_targets(window, len(y), orbit)
-    spec = spec if spec is not None else ContourSpec(dimension=len(y))
     evaluation = _evaluate(y, nu, targets, rates, t, spec)
     return DistributionReport(
         initial_sites=y,
@@ -523,10 +530,10 @@ def delta_recovery(
     y = tuple(y)
     nu = tuple(nu)
     n = len(y)
+    spec = _spec_for(spec, n)
     window = (min(y) - margin, max(y) + margin)
     targets = _window_targets(window, n, species_orbit(nu))
-    nodes = spec.nodes if spec is not None else ContourSpec(dimension=n).nodes
-    radius = spec.radius if spec is not None else None
+    nodes, radius = spec.nodes, spec.radius
     while True:
         run_spec = ContourSpec(nodes=nodes, radius=radius, dimension=n)
         evaluation = _evaluate(y, nu, targets, rates, 0.0, run_spec)
@@ -555,7 +562,7 @@ def summand_quadrature(
     """The quadrature ``sigma_summand`` integrates on for target x: the
     explicit radius of ``spec``, else the balanced one."""
     n = len(y)
-    spec = spec if spec is not None else ContourSpec(dimension=n)
+    spec = _spec_for(spec, n)
     ext = _extended_rates(rates)
     return spec.quadrature(float(_resolve_radius(spec, ext, t, sum(x) - sum(y), n)))
 
@@ -573,7 +580,7 @@ def sigma_summand(
     y = tuple(y)
     x = tuple(x)
     n = len(y)
-    spec = spec if spec is not None else ContourSpec(dimension=n)
+    spec = _spec_for(spec, n)
     ext = _extended_rates(rates)
     sigma_inv = inverse(sigma)
     # xi_v^(x at slot sigma^-1(v) - y_v - 1); integrate_tensor supplies
@@ -610,6 +617,7 @@ def inversion_class_sum(
     the largest entry hit exactly this entry set.  Cancels identically;
     the return value is the quadrature residual of that cancellation."""
     n = len(y)
+    spec = _spec_for(spec, n)
     classes = inversion_classes(n)
     if frozenset(entries) not in classes:
         raise ValueError(f"no inversion class {set(entries)} for n = {n}")

@@ -118,6 +118,7 @@ def test_criterion_2_generator_oracle_agreement():
 def test_criterion_3_braid_relations_exact():
     checks = 0
     points = 0
+    t0 = time.perf_counter()
     for p in (F(1, 3), F(1, 2), F(9, 10)):
         rates = RateParams.from_p(p)
         for n in (3, 4):
@@ -128,11 +129,13 @@ def test_criterion_3_braid_relations_exact():
                 points += 1
                 checks += rep.checks
                 assert rep.passed, (p, n, xi, rep.counterexample)
+    elapsed = time.perf_counter() - t0
     report(
         3,
-        True,
+        elapsed <= 60.0,
         f"{checks} exact operator identities over {points} random rational "
-        "points, N in {3,4}, p in {1/3, 1/2, 9/10}, zero tolerance",
+        "points, N in {3,4}, p in {1/3, 1/2, 9/10}, zero tolerance, "
+        f"{elapsed:.1f}s (budget 60s)",
     )
 
 

@@ -22,12 +22,18 @@ from asep_exact import (
 from asep_exact.permutations import (
     all_permutations,
     canonical_word,
+    identity,
     inverse,
     inversions_below,
     reduced_words,
 )
 from asep_exact import species_coeff
-from asep_exact.species_coeff import PairTable, expansion_summands, species_orbit
+from asep_exact.species_coeff import (
+    PairTable,
+    braid_apply,
+    expansion_summands,
+    species_orbit,
+)
 
 XI5 = (F(3, 7), F(2, 9), F(5, 11), F(1, 4), F(4, 19))
 RATES = RateParams.from_p(F(2, 5))
@@ -193,3 +199,40 @@ def test_braid_check_evaluates_each_pair_once(monkeypatch):
     assert report.passed
     assert len(calls) <= 12
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(9, 10), F(1)])
+def test_braid_check_catches_a_perturbed_bond(p):
+    # one bond off by 1/7 breaks the operators; the check must still see it
+    rates = RateParams.from_p(p)
+    pairs = PairTable(XI5[:4], rates)
+    pairs[(2, 3)] += F(1, 7)
+    report = check_braid_relations(4, pairs, rates)
+    assert not report.passed
+    assert set(report.counterexample) == {"sigma", "pi", "left", "right"}
+    if p == F(1, 2):
+        assert report.checks == 3
+        assert report.counterexample["left"] == (1, 2, 1)
+        assert report.counterexample["right"] == (2, 1, 2)
+
+
+def test_scaled_walk_matches_fraction_tables():
+    # the integer tables of the braid check, divided by D per letter, are
+    # the exact tables of species_coefficient
+    xi = XI5[:4]
+    bonds, rates, scale = PairTable(xi, RATES).over_common_denominator()
+    assert scale > 0
+    assert (rates.p, rates.q) == (2, 3)
+    for nu in species_coeff._default_labelings(4):
+        for sigma in all_permutations(4):
+            word = canonical_word(sigma)
+            end, h = braid_apply(word, identity(4), {nu: 1}, bonds, rates, scale)
+            assert end == sigma
+            assert all(type(v) is int for v in h.values())
+            unscaled = {pi: F(v, scale ** len(word)) for pi, v in h.items()}
+            assert unscaled == species_coefficient(sigma, nu, xi, RATES), (nu, sigma)
+
+
+def test_float_points_have_no_common_denominator():
+    assert PairTable((0.25, 0.5), RateParams.from_p(0.4)).over_common_denominator() is None
+    assert PairTable(XI5[:2], RateParams.from_p(0.4)).over_common_denominator() is None

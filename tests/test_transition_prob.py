@@ -263,6 +263,34 @@ def test_spec_dimension_must_match_particle_count(dimension):
         distribution_over_window((0, 1), (1, 2), R07, 0.5, spec=spec)
 
 
+DIMENSION_ERROR = "dimension is 7, but the start has 2 particles"
+
+
+def test_sigma_summand_checks_spec_dimension():
+    spec = ContourSpec(nodes=16, dimension=7)
+    with pytest.raises(ValueError, match=DIMENSION_ERROR):
+        sigma_summand((0, 1), (1, 2), (2, 1), R07, 0.5, spec)
+
+
+def test_summand_quadrature_checks_spec_dimension():
+    spec = ContourSpec(nodes=16, dimension=7)
+    with pytest.raises(ValueError, match=DIMENSION_ERROR):
+        transition_prob.summand_quadrature((0, 1), (1, 2), R07, 0.5, spec)
+
+
+def test_inversion_class_sum_checks_spec_dimension():
+    spec = ContourSpec(nodes=16, dimension=7)
+    entries = next(iter(inversion_classes(2)))
+    with pytest.raises(ValueError, match=DIMENSION_ERROR):
+        inversion_class_sum((0, 1), (0, 1), entries, R07, spec)
+
+
+def test_delta_recovery_checks_spec_dimension():
+    spec = ContourSpec(nodes=16, dimension=7)
+    with pytest.raises(ValueError, match=DIMENSION_ERROR):
+        delta_recovery((0, 1), (1, 1), R07, spec=spec)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (
