@@ -15,20 +15,22 @@ from asep_exact import (
     admissible_radius_bound,
     balanced_radius,
     distribution_over_window,
-    integrate_tensor,
+    node_points,
     oracle_distribution,
 )
 
 print("== residues from a bare contour ==")
-spec = ContourSpec(nodes=64, radius=0.5, dimension=1)
+# (2 pi i)^-1 times the contour integral of f is the mean over the nodes
+# of f(z) * z
+z = node_points(0.5, 64)
 for k in (-3, -1, 0, 2):
-    # mean over nodes of z^k * z: exactly 1 when k = -1, else 0
-    value = integrate_tensor(lambda z, k=k: z**k, spec)
+    # mean of z^k * z: exactly 1 when k = -1, else 0
+    value = np.mean(z**k * z)
     print(f"  residue of z^{k}: {complex(value):.3e}")
 
 print("\n== a pole inside vs outside the contour ==")
 for a, where in ((0.25, "inside"), (0.8, "outside")):
-    value = integrate_tensor(lambda z, a=a: 1 / (z - a), spec)
+    value = np.mean(z / (z - a))
     print(f"  1/(z - {a}) with the pole {where}: {value.real:+.6f}")
 
 print("\n== the admissible radius shrinks as p leaves 1 ==")

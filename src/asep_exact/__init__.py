@@ -18,7 +18,6 @@ from .contour_quadrature import (
     Quadrature,
     admissible_radius_bound,
     balanced_radius,
-    integrate_tensor,
     node_points,
 )
 from .markov_oracle import (
@@ -88,7 +87,6 @@ __all__ = [
     "distribution_over_window",
     "expansion_summands",
     "f_factor",
-    "integrate_tensor",
     "inverse",
     "inversion_class_sum",
     "inversion_classes",

@@ -49,10 +49,8 @@ from .transition_prob import (
     delta_recovery,
     distribution_over_window,
     _evaluate,
+    _permutation_sum,
     _target_values,
-    inversion_class_sum,
-    sigma_summand,
-    summand_quadrature,
 )
 
 EXIT_OK = 0
@@ -617,20 +615,22 @@ def cmd_verify_b_classes(args) -> int:
     rates = _parse_rate(args.p)
     y, x = args.y, args.x
     n = len(y)
+    if n < 2:
+        raise UsageError("verify-b-classes needs at least 2 particles")
     spec = _spec_from(args, n)
     classes = []
     for entries, members in sorted(
         inversion_classes(n).items(), key=lambda kv: sorted(kv[0])
     ):
-        member_sums = None
-        if len(members) == 1:
-            member_sums = (abs(sigma_summand(y, x, members[0], rates, 0.0, spec)),)
+        evaluation = _permutation_sum(y, x, members, rates, 0.0, spec)
+        class_sum = abs(evaluation.values[0])
         classes.append(
             BClassRow(
                 entries=tuple(sorted(entries)),
                 members=tuple(members),
-                class_sum=abs(inversion_class_sum(y, x, entries, rates, spec)),
-                member_sums=member_sums,
+                class_sum=class_sum,
+                # a one-member class sum is that member's summand
+                member_sums=(class_sum,) if len(members) == 1 else None,
             )
         )
     report = VerifyBClassesReport(
@@ -639,7 +639,7 @@ def cmd_verify_b_classes(args) -> int:
         tolerance=args.tol,
         initial=y,
         target=x,
-        quadrature=summand_quadrature(y, x, rates, 0.0, spec),
+        quadrature=evaluation.quadrature,
         classes=tuple(classes),
         passed=not any(
             v > args.tol

@@ -13,18 +13,17 @@ configuration and the integrand grows like r**(negative exponent).
 A ``ContourSpec`` is what a caller asks for; a ``Quadrature`` is what
 actually ran: the nodes, the radius each half used and how it was chosen.
 
-Discretization: K equispaced nodes per circle turn each contour integral
-(2*pi*i)^-1 * closed integral f dxi into the exact mean over nodes of
-f(node) * node; the tensor version multiplies one node factor per axis.
-For integrands analytic in an annulus around the circle the error decays
-geometrically in K (aliasing onto exponents shifted by multiples of K).
-Everything is evaluated in extended precision (clongdouble): the sums
-cancel down many orders from the individual terms, and float64 roundoff
-would dominate the tolerances this package promises.  Node order is fixed,
-so results are reproducible bit for bit.  ``integrate_tensor`` streams the
-first axis and adds the slab sums with Neumaier compensation; the FFT
-engine in ``transition_prob`` reads its coefficients off extended-precision
-spectra instead and uses no compensated sum.
+Discretization: K equispaced nodes per circle (``node_points``) turn each
+contour integral (2*pi*i)^-1 * closed integral f dxi into the exact mean
+over nodes of f(node) * node; the tensor version multiplies one node factor
+per axis.  For integrands analytic in an annulus around the circle the
+error decays geometrically in K (aliasing onto exponents shifted by
+multiples of K).  The one engine that evaluates these sums, in
+``transition_prob``, reads every coefficient off extended-precision
+(clongdouble) spectra of the node grid: the sums cancel down many orders
+from the individual terms, and float64 roundoff would dominate the
+tolerances this package promises.  Node order is fixed, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -168,37 +167,3 @@ def axis_view(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     shape = [1] * ndim
     shape[axis] = values.size
     return values.reshape(shape)
-
-
-def integrate_tensor(f, spec: ContourSpec, rates: RateParams | None = None) -> complex:
-    """Mean over all node tuples of f(xi_1, ..., xi_N) times the product
-    of the nodes, on the explicit radius of ``spec`` (checked against the
-    pole bound of ``rates`` when given).
-
-    ``f`` must accept N broadcastable arrays and vectorize over them.  The
-    first axis is streamed so the materialized grid stays N-1 dimensional.
-    Returns the approximation to the iterated (2 pi i)^-N contour integral.
-    """
-    if spec.radius is None:
-        raise ValueError("integrate_tensor needs an explicit radius")
-    if rates is not None:
-        assert_admissible(spec.radius, rates)
-    n = spec.dimension
-    z = node_points(spec.radius, spec.nodes)
-    weight = z / np.clongdouble(spec.nodes)
-    if n == 1:
-        vals = f(z) * weight
-        return complex(vals.sum())
-    rest = [axis_view(z, a, n - 1) for a in range(n - 1)]
-    rest_weight = np.ones((1,) * (n - 1), dtype=np.clongdouble)
-    for a in range(n - 1):
-        rest_weight = rest_weight * axis_view(weight, a, n - 1)
-    # Neumaier-compensated sum of the slab sums, in node order
-    total = np.clongdouble(0)
-    comp = np.clongdouble(0)
-    for k in range(spec.nodes):
-        part = (f(z[k], *rest) * rest_weight).sum() * weight[k]
-        s = total + part
-        comp += (total - s) + part if abs(total) >= abs(part) else (part - s) + total
-        total = s
-    return complex(total + comp)

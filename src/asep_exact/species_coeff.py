@@ -22,7 +22,7 @@ entries (a, b), each evaluated the first time a letter needs it.  Every
 function taking ``xi`` accepts the N points or a ``PairTable`` already
 built on them, so one table serves every call made at one point (the
 exact sweeps build one per rational point; the contour engine fills one
-per slab with views of its scattering matrix).
+for its rest grid and one per slab with views of its scattering matrix).
 
 The exact braid sweep runs on integer numerators.  At a rational point
 ``PairTable.over_common_denominator`` writes p = P/R, q = Q/R and every
@@ -400,15 +400,20 @@ def check_braid_relations(
     the given labelings' rearrangements, that the exchange operators square
     to the identity, commute at distance, and satisfy the braid relation.
 
-    Exact equality (use rational xi and rates); the first violated pair is
-    returned as a counterexample.  At a rational point the walk runs on the
-    integers of ``PairTable.over_common_denominator``, and each side is
-    scaled by D to the other side's length before the comparison.
+    Exact equality: the first violated pair is returned as a
+    counterexample.  The walk runs on the integers of
+    ``PairTable.over_common_denominator``, and each side is scaled by D to
+    the other side's length before the comparison.  Points or rates that
+    are not rational raise ValueError: ``==`` on floats would report
+    roundoff as a broken relation.
     """
     if labelings is None:
         labelings = _default_labelings(n)
-    pairs = PairTable.of(xi, rates)
-    walk = pairs.over_common_denominator() or (pairs, rates, 1)
+    walk = PairTable.of(xi, rates).over_common_denominator()
+    if walk is None:
+        raise ValueError(
+            "the braid relations are checked exactly: xi and rates must be rational"
+        )
     scale = walk[2]
     relations: list[tuple[Word, Word]] = []
     for i in range(1, n):

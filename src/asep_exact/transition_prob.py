@@ -28,10 +28,13 @@ All node arithmetic and every transform run in extended precision
 Every scattering factor a half needs is an entry of one K x K matrix
 S[k, l] = s_factor(z_k, z_l) on the node circle, evaluated (and checked
 against the pole guard) once.  The factors with the first variable are
-its columns, those within the rest grid its axis views, and each slab's
-species coefficient tables are built by the exchange recursion from a
-pair table (``species_coeff.PairTable``) whose bonds are views of 1 + S;
-only those tables are rebuilt per slab.
+its columns, those within the rest grid its axis views.  The species
+coefficient tables factor through entry 1: the exchange recursion builds
+the tables of the orders of entries 2..N once per half, from a pair table
+(``species_coeff.PairTable``) whose bonds are views of 1 + S, and they are
+summed with their amplitudes into one table per labeling.  Each slab then
+applies only the N - 1 letters that move entry 1, whose bonds are that
+slab's row of 1 + S.  With one species every letter is the identity.
 
 Targets left of the start (sum x < sum y) would need an integrand growing
 like r^(sum x - sum y) on a contour held inside the pole bound, so they
@@ -39,6 +42,10 @@ are computed on the mirrored lattice: sites negated and reversed, species
 reversed, p and q swapped, which makes the exponent positive.  Each half
 gets its own balanced radius.  At p = 1 the left half is exactly 0,
 because particles only move right.
+
+The same engine sums any set of permutations (``sigma_summand``,
+``inversion_class_sum``).  Such a partial sum is not mirror invariant, so
+it stays on the direct lattice for every target.
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ from .contour_quadrature import (
     assert_admissible,
     axis_view,
     balanced_radius,
-    integrate_tensor,
     node_points,
 )
 from .markov_oracle import (
@@ -68,8 +74,14 @@ from .markov_oracle import (
     predecessor_flows,
     window_for,
 )
-from .permutations import all_permutations, inverse, inversion_classes, inversions
-from .species_coeff import PairTable, coefficient_table, species_orbit
+from .permutations import (
+    adjacent_swap,
+    all_permutations,
+    identity,
+    inversion_classes,
+    inversions,
+)
+from .species_coeff import PairTable, coefficient_table, exchange_update, species_orbit
 
 # Relative size of an imaginary residue worth surfacing.  The exact value
 # is real; the quadrature leaves a rounding-level imaginary part.
@@ -141,7 +153,8 @@ class DeltaReport:
 @dataclass(frozen=True)
 class Evaluation:
     """A batch's values with the quadrature they ran on.  The direct half
-    holds the targets with sum(x) >= sum(y), the mirrored half the rest."""
+    holds the targets with sum(x) >= sum(y), the mirrored half the rest; a
+    sum over part of the permutations runs on the direct half only."""
 
     values: tuple[complex, ...]
     quadrature: Quadrature
@@ -227,7 +240,7 @@ def _evaluate(
         tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec
     )
     for k, v in zip(direct, values):
-        out[k] = v
+        out[k] = complex(v)
     mirror_radius = None
     if left and rates.q != 0:
         mirrored = [
@@ -239,7 +252,7 @@ def _evaluate(
             RateParams(rates.q, rates.p), t, spec,
         )
         for k, v in zip(left, values):
-            out[k] = v
+            out[k] = complex(v)
     return Evaluation(values=tuple(out), quadrature=spec.quadrature(radius, mirror_radius))
 
 
@@ -253,24 +266,13 @@ def _pair_view(matrix, axis_a, axis_b, ndim):
     return matrix.reshape(shape)
 
 
-def _slab_pairs(z, bond, k, n, rates) -> PairTable:
-    """The pair table of slab k: xi_1 sits at node k and xi_a (a >= 2)
-    runs along axis a - 2 of the rest grid; every bond (a < b) is filled
-    in up front as a view of bond = 1 + S."""
-    n_rest = n - 1
-    rest = tuple(axis_view(z, a, n_rest) for a in range(n_rest))
-    pairs = PairTable((z[k],) + rest, rates)
-    for b in range(2, n + 1):
-        pairs[(1, b)] = axis_view(bond[k], b - 2, n_rest)
-        for a in range(2, b):
-            pairs[(a, b)] = _pair_view(bond, a - 2, b - 2, n_rest)
-    return pairs
-
-
-def _contour_sum(y, nu, targets, rates, t, spec):
-    """Trapezoid values of targets with sum(x) >= sum(y), all in nu's
-    species orbit, read off one symmetrized spectrum per labeling; returns
-    the values and the radius used (None for an empty batch)."""
+def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
+    """Trapezoid values of targets in nu's species orbit on the direct
+    lattice, summed over ``permutations`` (default: all of S_N) and read
+    off one symmetrized spectrum per labeling.  Returns the values, in
+    extended precision, and the radius used (None for an empty batch).
+    Only the full sum is mirror invariant, so the direct lattice serves
+    targets left of the start only when a part of the sum is asked for."""
     if not targets:
         return [], None
     n = len(y)
@@ -285,7 +287,7 @@ def _contour_sum(y, nu, targets, rates, t, spec):
 
     if n == 1:
         spectrum = scipy.fft.ifft(kernels[0], norm="forward")
-        return [complex(v) for v in scale * spectrum[modes[:, 0]]], float(radius)
+        return scale * spectrum[modes[:, 0]], float(radius)
 
     n_rest = n - 1
     if nodes**n_rest > MAX_SLAB_POINTS:
@@ -294,13 +296,11 @@ def _contour_sum(y, nu, targets, rates, t, spec):
             "lower the node count or the particle count"
         )
 
-    trivial_table = len(species_orbit(nu)) == 1
-
     # One scattering matrix S[k, l] = s_factor(z_k, z_l) per half, which
     # also puts the whole node grid under the pole guard.  Every pair
     # factor of the half is a view of it: its column k holds the factors
     # with the first variable at slab k, its axis views those within the
-    # rest grid, and the views of 1 + S are the bonds of the slab tables.
+    # rest grid, and the views of 1 + S are the bonds of the species tables.
     scatter = s_factor(z[:, None], z[None, :], ext)
     bond = 1 + scatter
     pair_rest = {
@@ -320,20 +320,50 @@ def _contour_sum(y, nu, targets, rates, t, spec):
     # slot j: plane axis m then holds the entry tau[m], the pair factors
     # within the rest grid depend on tau only, and the factors with the
     # first variable sit on plane axes 0..j-1 whatever tau is.
-    orders = [
-        (
-            tuple(v + 1 for v in tau),
-            tuple(v - 1 for v in tau),
-            [(a + 1, b + 1) for a, b in sorted(inversions(tau))],
-        )
-        for tau in all_permutations(n_rest)
-    ]
+    #
+    # The same split is a reduced word for sigma: letters at bonds >= 2
+    # sort the entries 2..N into tau while 1 stays in slot 1, then the
+    # letters at bonds 1..j move it to slot j + 1.  The first part reads
+    # only bonds between entries >= 2, so one table per tau serves every
+    # slab; the second reads 1 + S(xi_1, xi'_m), the same for every tau in
+    # plane coordinates.  Letters are pointwise linear, so the tau sum
+    # U[pi] = sum amp_tau * T_tau[pi] is formed once per half and each slab
+    # only walks it through the N - 1 letters.  With one species every
+    # letter is the identity.
+    rest = tuple(axis_view(z, a, n_rest) for a in range(n_rest))
+    rest_pairs = PairTable(rest, ext)
+    for b in range(2, n):
+        for a in range(1, b):
+            rest_pairs[(a, b)] = _pair_view(bond, a - 1, b - 1, n_rest)
+    rest_tables = coefficient_table(tuple(nu[1:]), rest_pairs, ext)
 
-    def rest_product(axes, rest_inversions):
-        amp = rest_kernel.transpose(axes)
-        for a, b in rest_inversions:
-            amp = np.multiply(amp, pair_rest[(a, b)].transpose(axes), order="C")
-        return amp
+    # the orders tau each plane axis j sums over; axes with the same orders
+    # share one walk
+    chosen = None if permutations is None else set(map(tuple, permutations))
+    orders = {}
+    for j in range(n):
+        taus = tuple(
+            tau
+            for tau in all_permutations(n_rest)
+            if chosen is None or tuple(v + 1 for v in tau[:j] + (0,) + tau[j:]) in chosen
+        )
+        if taus:
+            orders.setdefault(taus, []).append(j)
+    walks = []
+    for taus, slots in orders.items():
+        start = {}
+        for tau in taus:
+            axes = tuple(v - 1 for v in tau)
+            amp = rest_kernel.transpose(axes)
+            for a, b in sorted(inversions(tau)):
+                amp = np.multiply(amp, pair_rest[(a + 1, b + 1)].transpose(axes), order="C")
+            for rest_pi, coeff in rest_tables[tau].items():
+                if np.ndim(coeff):
+                    coeff = coeff.transpose(axes)
+                pi = (nu[0],) + rest_pi
+                term = amp * coeff
+                start[pi] = start[pi] + term if pi in start else term
+        walks.append((start, slots))
 
     # per axis j: the modes each plane axis keeps, and where each target's
     # plane mode tuple sits among the deduplicated ones
@@ -351,59 +381,43 @@ def _contour_sum(y, nu, targets, rates, t, spec):
     pis = [tuple(pi) for _, pi in targets]
     needed_pis = sorted(set(pis))
 
-    if trivial_table:
-        # coefficient 1 everywhere: the sum over tau is slab independent
-        shared = None
-        for _, axes, rest_inversions in orders:
-            amp = rest_product(axes, rest_inversions)
-            shared = amp if shared is None else shared + amp
-        sums = {(j, nu): shared for j in range(n)}
-    else:
-        # the rest-grid factors of each order tau are slab independent
-        amps = [rest_product(axes, rest_inversions) for _, axes, rest_inversions in orders]
-
-    # Per-slab planes live in buffers allocated once and overwritten in
-    # place: a working set freed at the end of every slab goes back to the
-    # operating system and is faulted in again by the next one (about
-    # 25,000 minor page faults per N = 3, K = 64 window call).
+    # Each plane is weighted into one buffer allocated once: a working set
+    # freed at the end of every slab goes back to the operating system and
+    # is faulted in again by the next one.
     work = np.empty((nodes,) * n_rest, dtype=np.clongdouble)
-    planes = {}
     slab_spectra = {}
     for k in range(nodes):
-        if not trivial_table:
-            tables = coefficient_table(nu, _slab_pairs(z, bond, k, n, ext), ext)
-            sums = {}
-            for (tau, axes, _), amp in zip(orders, amps):
-                for j in range(n):
-                    table = tables[tau[:j] + (1,) + tau[j:]]
-                    for pi in needed_pis:
-                        coeff = table.get(pi)
-                        if coeff is None:
-                            continue
-                        if np.ndim(coeff):
-                            coeff = coeff.transpose(axes)
-                        if (j, pi) in sums:
-                            sums[(j, pi)] += np.multiply(amp, coeff, out=work)
-                        else:
-                            if (j, pi) not in planes:
-                                planes[(j, pi)] = np.empty_like(work)
-                            sums[(j, pi)] = np.multiply(amp, coeff, out=planes[(j, pi)])
         # first-variable pair factors of the entries left of the 1, and
         # the first variable's own kernel
         weights = [kernels[0][k]]
         for m in range(n_rest):
             weights.append(weights[-1] * axis_view(scatter[:, k], m, n_rest))
-        for (j, pi), plane in sums.items():
-            plane = np.multiply(plane, weights[j], out=work)
-            # transform one axis at a time, keeping only the needed modes
-            for axis in reversed(range(n_rest)):
-                plane = scipy.fft.ifft(plane, axis=axis, norm="forward", overwrite_x=True)
-                plane = plane.take(axis_modes[j][axis], axis=axis)
-            if (j, pi) not in slab_spectra:
-                slab_spectra[(j, pi)] = np.zeros(
-                    (nodes, len(plane_modes[j][0])), dtype=np.clongdouble
-                )
-            slab_spectra[(j, pi)][k] = plane[plane_modes[j]]
+        pairs = PairTable((z[k],) + rest, ext)
+        for m in range(n_rest):
+            pairs[(1, m + 2)] = axis_view(bond[k], m, n_rest)
+        for table, slots in walks:
+            sigma = identity(n)
+            for j in range(max(slots) + 1):
+                if j:
+                    table = exchange_update(j, sigma, table, pairs, ext)
+                    sigma = adjacent_swap(sigma, j)
+                if j not in slots:
+                    continue
+                for pi in needed_pis:
+                    if pi not in table:
+                        continue
+                    plane = np.multiply(table[pi], weights[j], out=work)
+                    # transform one axis at a time, keeping only the needed modes
+                    for axis in reversed(range(n_rest)):
+                        plane = scipy.fft.ifft(
+                            plane, axis=axis, norm="forward", overwrite_x=True
+                        )
+                        plane = plane.take(axis_modes[j][axis], axis=axis)
+                    if (j, pi) not in slab_spectra:
+                        slab_spectra[(j, pi)] = np.zeros(
+                            (nodes, len(plane_modes[j][0])), dtype=np.clongdouble
+                        )
+                    slab_spectra[(j, pi)][k] = plane[plane_modes[j]]
 
     # the last transform runs along the slab index, i.e. along axis j
     values = np.zeros(len(targets), dtype=np.clongdouble)
@@ -412,7 +426,7 @@ def _contour_sum(y, nu, targets, rates, t, spec):
         spectrum = scipy.fft.ifft(spectra, axis=0, norm="forward")
         rows = rows_of[pi]
         values[rows] += spectrum[modes[rows, j], plane_slot[j][rows]]
-    return [complex(v) for v in scale * values], float(radius)
+    return scale * values, float(radius)
 
 
 def _as_float(value: complex, context: str) -> float:
@@ -552,19 +566,20 @@ def delta_recovery(
         nodes *= 2
 
 
-def summand_quadrature(
-    y: tuple[int, ...],
-    x: tuple[int, ...],
-    rates: RateParams,
-    t: float = 0.0,
-    spec: ContourSpec | None = None,
-) -> Quadrature:
-    """The quadrature ``sigma_summand`` integrates on for target x: the
-    explicit radius of ``spec``, else the balanced one."""
+def _permutation_sum(y, x, permutations, rates, t, spec) -> Evaluation:
+    """The identical-species summands of ``permutations`` at target x,
+    summed by the contour engine.  The sum runs on the direct lattice
+    whatever x is: only the full sum over S_N is mirror invariant."""
+    y, x = tuple(y), tuple(x)
     n = len(y)
     spec = _spec_for(spec, n)
-    ext = _extended_rates(rates)
-    return spec.quadrature(float(_resolve_radius(spec, ext, t, sum(x) - sum(y), n)))
+    ones = (1,) * n
+    check_config(y, ones)
+    if len(x) != n:
+        raise ValueError("target size differs from initial size")
+    check_config(x, ones)
+    values, radius = _contour_sum(y, ones, [(x, ones)], rates, t, spec, permutations)
+    return Evaluation(values=tuple(map(complex, values)), quadrature=spec.quadrature(radius))
 
 
 def sigma_summand(
@@ -577,33 +592,9 @@ def sigma_summand(
 ) -> complex:
     """A single permutation's contribution to the identical-species
     integral: scattering amplitude times kernels, no species coefficient."""
-    y = tuple(y)
-    x = tuple(x)
-    n = len(y)
-    spec = _spec_for(spec, n)
-    ext = _extended_rates(rates)
-    sigma_inv = inverse(sigma)
-    # xi_v^(x at slot sigma^-1(v) - y_v - 1); integrate_tensor supplies
-    # the dxi = xi * (node spacing) weight
-    powers = [int(x[sigma_inv[v] - 1]) - int(y[v]) - 1 for v in range(n)]
-    pairs = sorted(inversions(sigma))
-    time = np.longdouble(t)
-
-    def integrand(*xi):
-        value = 1
-        for u, power in zip(xi, powers):
-            factor = u**power
-            if t:
-                factor = factor * np.exp(dispersion(u, ext) * time)
-            value = value * factor
-        for a, b in pairs:
-            value = value * s_factor(xi[a - 1], xi[b - 1], ext)
-        return value
-
-    radius = summand_quadrature(y, x, rates, t, spec).radius
-    return integrate_tensor(
-        integrand, ContourSpec(nodes=spec.nodes, radius=radius, dimension=n), ext
-    )
+    if sorted(sigma) != list(range(1, len(y) + 1)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{len(y)}")
+    return _permutation_sum(y, x, [tuple(sigma)], rates, t, spec).values[0]
 
 
 def inversion_class_sum(
@@ -616,16 +607,10 @@ def inversion_class_sum(
     """Sum of t = 0 summands over the permutations whose inversions with
     the largest entry hit exactly this entry set.  Cancels identically;
     the return value is the quadrature residual of that cancellation."""
-    n = len(y)
-    spec = _spec_for(spec, n)
-    classes = inversion_classes(n)
+    classes = inversion_classes(len(y))
     if frozenset(entries) not in classes:
-        raise ValueError(f"no inversion class {set(entries)} for n = {n}")
-    members = classes[frozenset(entries)]
-    return sum(
-        (sigma_summand(y, x, sigma, rates, 0.0, spec) for sigma in members),
-        start=0j,
-    )
+        raise ValueError(f"no inversion class {set(entries)} for n = {len(y)}")
+    return _permutation_sum(y, x, classes[frozenset(entries)], rates, 0.0, spec).values[0]
 
 
 def master_equation_residual(

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from asep_exact import ContourSpec, RateParams, cli, delta_recovery, distribution_over_window
-from asep_exact.transition_prob import summand_quadrature
+from asep_exact.transition_prob import _permutation_sum
 
 
 def run(argv):
@@ -314,6 +314,11 @@ BAD_INPUTS = [  # (manifest, what the error must name)
          "nodes": 2048},
         "at nodes:",
     ),
+    ({"command": "verify-b-classes", "p": 0.7, "y": [0], "x": [1]}, "at least 2 particles"),
+    (
+        {"command": "verify-b-classes", "p": 0.7, "y": [0, 1], "x": [1, 2, 3]},
+        "target size differs",
+    ),
 ]
 
 
@@ -359,9 +364,9 @@ R05, R07 = RateParams.from_p(0.5), RateParams.from_p(0.7)
     ),
     (
         ["verify-b-classes", "--p", "0.7", "--y", "0,1,2", "--x", "1,2,4", "--radius", "0.2"],
-        lambda: summand_quadrature(
-            (0, 1, 2), (1, 2, 4), R07, 0.0, ContourSpec(radius=0.2, dimension=3)
-        ),
+        lambda: _permutation_sum(
+            (0, 1, 2), (1, 2, 4), [(1, 3, 2)], R07, 0.0, ContourSpec(radius=0.2, dimension=3)
+        ).quadrature,
     ),
 ], ids=["prob", "verify-delta", "verify-b-classes"])
 def test_report_carries_the_library_quadrature(argv, library, tmp_path):

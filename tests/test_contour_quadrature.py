@@ -7,9 +7,14 @@ from asep_exact import (
     ContourSpec,
     RateParams,
     admissible_radius_bound,
+    all_permutations,
+    amplitude,
     balanced_radius,
-    integrate_tensor,
+    dispersion,
+    inverse,
     node_points,
+    sigma_summand,
+    transition_prob,
 )
 from asep_exact.contour_quadrature import axis_view
 
@@ -63,52 +68,91 @@ def test_contour_spec_validation():
         ContourSpec(dimension=0)
 
 
+def node_grid_mean(f, radius, nodes, n):
+    """(2 pi i)^-n times the n-fold contour integral of f, summed directly:
+    the mean over the node grid of f times the product of the nodes."""
+    z = node_points(radius, nodes)
+    grid = [axis_view(z, a, n) for a in range(n)]
+    weight = 1
+    for u in grid:
+        weight = weight * u
+    return complex(np.mean(np.broadcast_to(f(*grid) * weight, (nodes,) * n)))
+
+
 def test_power_residues_one_axis():
-    spec = ContourSpec(nodes=64, radius=0.4, dimension=1)
+    z = node_points(0.4, 64)
     for k in range(-5, 5):
-        value = integrate_tensor(lambda z: z ** k, spec)
+        value = np.mean(z**k * z)
         expect = 1.0 if k == -1 else 0.0
-        assert value == pytest.approx(expect, abs=1e-16)
+        assert complex(value) == pytest.approx(expect, abs=1e-16)
 
 
 def test_simple_pole_inside_contour():
-    spec = ContourSpec(nodes=64, radius=0.5, dimension=1)
-    value = integrate_tensor(lambda z: 1 / (z - 0.1), spec)
+    value = node_grid_mean(lambda z: 1 / (z - 0.1), 0.5, 64, 1)
     # geometric node error (0.1/0.5)^64 is far below extended eps
     assert value == pytest.approx(1.0, abs=1e-18)
 
 
 def test_pole_outside_contour_gives_zero():
-    spec = ContourSpec(nodes=64, radius=0.5, dimension=1)
-    value = integrate_tensor(lambda z: 1 / (z - 2.0), spec)
+    value = node_grid_mean(lambda z: 1 / (z - 2.0), 0.5, 64, 1)
     assert value == pytest.approx(0.0, abs=1e-18)
 
 
 def test_product_residue_three_axes():
-    spec = ContourSpec(nodes=16, radius=0.3, dimension=3)
-    value = integrate_tensor(lambda a, b, c: 1 / (a * b * c), spec)
+    value = node_grid_mean(lambda a, b, c: 1 / (a * b * c), 0.3, 16, 3)
     assert value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_mixed_powers_three_axes():
-    spec = ContourSpec(nodes=16, radius=0.3, dimension=3)
-    value = integrate_tensor(lambda a, b, c: a / (b * b * c), spec)
+    value = node_grid_mean(lambda a, b, c: a / (b * b * c), 0.3, 16, 3)
     assert value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coupled_rational_two_axes():
     # 1/(uv - uv^2/2) = (1/uv) sum_k (v/2)^k picks out k = 0
-    spec = ContourSpec(nodes=64, radius=0.4, dimension=2)
-    value = integrate_tensor(lambda u, v: 1 / (u * v * (1 - v / 2)), spec)
+    value = node_grid_mean(lambda u, v: 1 / (u * v * (1 - v / 2)), 0.4, 64, 2)
     assert value == pytest.approx(1.0, abs=1e-15)
 
 
-def test_integrate_tensor_needs_radius_or_rates():
-    spec = ContourSpec(nodes=16, dimension=1)
-    with pytest.raises(ValueError):
-        integrate_tensor(lambda z: 1 / z, spec)
-    with pytest.raises(ValueError, match="explicit radius"):
-        integrate_tensor(lambda z: 1 / z, spec, RateParams.from_p(0.5))
+def _direct_summand(y, x, sigma, rates, t):
+    """sigma's identical-species integrand, as in the paper: kernels times
+    the scattering amplitude times prod_v xi_v^(x at slot sigma^-1(v))."""
+    ext = RateParams(np.longdouble(rates.p), np.longdouble(rates.q))
+    slot = inverse(sigma)
+
+    def f(*xi):
+        value = 1
+        for v, u in enumerate(xi):
+            factor = u ** (x[slot[v] - 1] - y[v] - 1)
+            value = value * factor * np.exp(dispersion(u, ext) * np.longdouble(t))
+        return value * amplitude(sigma, xi, ext)
+
+    return f
+
+
+@pytest.mark.parametrize("t", [0.0, 0.4])
+@pytest.mark.parametrize(
+    "y, x",
+    [((0, 1), (1, 2)), ((0, 1), (-2, 0)), ((0, 1, 2), (1, 2, 4)), ((0, 1, 2), (-2, 0, 1))],
+)
+def test_engine_summands_match_a_direct_node_grid_sum(y, x, t):
+    # each sigma is one plane of the FFT engine; summed directly over the
+    # node grid at the radius the engine chose it is the same residue.
+    # Targets left of the start stay on the direct lattice: only the full
+    # sigma sum is mirror invariant
+    rates = RateParams.from_p(0.7)
+    n = len(y)
+    for sigma in all_permutations(n):
+        evaluation = transition_prob._permutation_sum(y, x, [sigma], rates, t, None)
+        radius = evaluation.quadrature.radius
+        expect = node_grid_mean(_direct_summand(y, x, sigma, rates, t), radius, 64, n)
+        assert abs(evaluation.values[0] - expect) <= 1e-15, sigma
+        assert evaluation.values[0] == sigma_summand(y, x, sigma, rates, t)
+    if x == (-2, 0, 1) and t:
+        # the direct-lattice value; its conjugate on the mirrored lattice
+        # is about 1.2e-6
+        value = sigma_summand(y, x, (3, 1, 2), rates, t)
+        assert value.real == pytest.approx(9.992412e-3, rel=1e-6)
 
 
 def test_axis_view_broadcasting():

@@ -186,6 +186,15 @@ def test_pole_raises_through_pair_table():
         second_class_coefficient((2, 1, 3), 1, 1, xi, RATES)
 
 
+@pytest.mark.parametrize("p", [0.4, 0.5])
+def test_braid_check_rejects_float_input(p):
+    # == on floats would report roundoff as a broken relation
+    with pytest.raises(ValueError, match="rational"):
+        check_braid_relations(3, (0.5, 0.25, 0.125), RateParams.from_p(p))
+    with pytest.raises(ValueError, match="rational"):
+        check_braid_relations(3, XI5[:3], RateParams.from_p(p))
+
+
 def test_braid_check_evaluates_each_pair_once(monkeypatch):
     calls = []
 

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from asep_exact import (
     ContourSpec,
@@ -26,7 +27,7 @@ from asep_exact import (
     transition_probability,
 )
 from asep_exact import species_coeff, transition_prob
-from asep_exact.bethe_algebra import s_factor
+from asep_exact.bethe_algebra import amplitude, s_factor
 from asep_exact.contour_quadrature import axis_view, node_points
 from asep_exact.permutations import all_permutations, inversion_classes
 from asep_exact.species_coeff import coefficient_table
@@ -272,12 +273,6 @@ def test_sigma_summand_checks_spec_dimension():
         sigma_summand((0, 1), (1, 2), (2, 1), R07, 0.5, spec)
 
 
-def test_summand_quadrature_checks_spec_dimension():
-    spec = ContourSpec(nodes=16, dimension=7)
-    with pytest.raises(ValueError, match=DIMENSION_ERROR):
-        transition_prob.summand_quadrature((0, 1), (1, 2), R07, 0.5, spec)
-
-
 def test_inversion_class_sum_checks_spec_dimension():
     spec = ContourSpec(nodes=16, dimension=7)
     entries = next(iter(inversion_classes(2)))
@@ -303,23 +298,119 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("nu", [(2, 1, 2), (2, 1, 2, 1)])
-def test_slab_pair_table_matches_points_bitwise(nu):
-    # the engine's slab tables, read from views of one 1 + S matrix, are
-    # bit for bit the tables the exchange recursion builds from the nodes
+def test_slab_pair_table_matches_points_bitwise(nu, monkeypatch):
+    # the engine's pair tables, read from views of one 1 + S matrix, are
+    # bit for bit the ones evaluated at the nodes: the rest-grid table
+    # builds the same species tables as the rest points, and each slab's
+    # entry-1 bonds are 1 + S(z_k, .) along the plane axes
     n = len(nu)
     nodes = 8
     ext = transition_prob._extended_rates(R07)
     z = node_points(np.longdouble(0.3), nodes)
-    bond = 1 + s_factor(z[:, None], z[None, :], ext)
+    tables, slabs = [], {}
+
+    def table_spy(nu_rest, pairs, rates):
+        tables.append((nu_rest, pairs))
+        return coefficient_table(nu_rest, pairs, rates)
+
+    def letter_spy(i, sigma, h, pairs, rates):
+        slabs[id(pairs)] = pairs
+        return species_coeff.exchange_update(i, sigma, h, pairs, rates)
+
+    monkeypatch.setattr(transition_prob, "coefficient_table", table_spy)
+    monkeypatch.setattr(transition_prob, "exchange_update", letter_spy)
+    spec = ContourSpec(nodes=nodes, radius=0.3, dimension=n)
+    y = tuple(range(n))
+    transition_probabilities(y, nu, [(tuple(s + 1 for s in y), nu)], R07, 0.5, spec)
+
+    rest = tuple(axis_view(z, a, n - 1) for a in range(n - 1))
+    [(nu_rest, rest_pairs)] = tables
+    assert nu_rest == nu[1:]
+    expect = coefficient_table(nu_rest, rest, ext)
+    got = coefficient_table(nu_rest, rest_pairs, ext)
+    assert got.keys() == expect.keys()
+    for sigma, table in expect.items():
+        assert got[sigma].keys() == table.keys()
+        for pi, value in table.items():
+            assert _same_bits(got[sigma][pi], value), (sigma, pi)
+
+    assert len(slabs) == nodes
+    for pairs in slabs.values():
+        [k] = np.flatnonzero(z == pairs.xi[0])
+        assert set(pairs) == {(1, m + 2) for m in range(n - 1)}
+        for m in range(n - 1):
+            want = 1 + s_factor(z[k], axis_view(z, m, n - 1), ext)
+            assert _same_bits(pairs[(1, m + 2)], want), (k, m)
+
+
+def _slab_reference(y, nu, rates, t, radius, nodes):
+    """The symmetrized spectra per labeling, assembled slab by slab from
+    every sigma's amplitude and species table evaluated at the nodes (no
+    factoring through entry 1): P(x, pi) = r^(sum x) * spectra[pi][x mod K]."""
+    n = len(y)
+    ext = transition_prob._extended_rates(rates)
+    z = node_points(np.longdouble(radius), nodes)
+    kernels = transition_prob._axis_kernels(z, y, ext, t, nodes)
+    rest = tuple(axis_view(z, a, n - 1) for a in range(n - 1))
+    rest_kernel = 1
+    for a in range(n - 1):
+        rest_kernel = rest_kernel * axis_view(kernels[a + 1], a, n - 1)
+    slabs = {}
     for k in range(nodes):
-        xi = (z[k],) + tuple(axis_view(z, a, n - 1) for a in range(n - 1))
-        expect = coefficient_table(nu, xi, ext)
-        got = coefficient_table(nu, transition_prob._slab_pairs(z, bond, k, n, ext), ext)
-        assert got.keys() == expect.keys()
-        for sigma, table in expect.items():
-            assert got[sigma].keys() == table.keys()
-            for pi, value in table.items():
-                assert _same_bits(got[sigma][pi], value), (k, sigma, pi)
+        xi = (z[k],) + rest
+        tables = coefficient_table(nu, xi, ext)
+        planes = {}
+        for sigma in all_permutations(n):
+            j = sigma.index(1)
+            # plane axis m holds the entry of the m-th slot other than j
+            axes = tuple(v - 2 for v in sigma[:j] + sigma[j + 1:])
+            amp = kernels[0][k] * rest_kernel * amplitude(sigma, xi, ext)
+            for pi, coeff in tables[sigma].items():
+                term = np.broadcast_to(amp * coeff, (nodes,) * (n - 1)).transpose(axes)
+                planes[(j, pi)] = planes.get((j, pi), 0) + term
+        for key, plane in planes.items():
+            slabs.setdefault(key, np.zeros((nodes,) * n, dtype=np.clongdouble))
+            slabs[key][k] = scipy.fft.ifftn(plane, norm="forward")
+    spectra = {}
+    for (j, pi), slab in slabs.items():
+        spectrum = np.moveaxis(scipy.fft.ifft(slab, axis=0, norm="forward"), 0, j)
+        spectra[pi] = spectra.get(pi, 0) + spectrum
+    return spectra
+
+
+@pytest.mark.parametrize(
+    "y, nu, window",
+    [((0, 1, 2), (2, 1, 2), (-3, 5)), ((0, 1, 2, 3), (2, 1, 2, 1), (-2, 5))],
+)
+def test_factored_planes_match_a_per_slab_reference(y, nu, window):
+    # the engine factors the species tables through entry 1; rebuilding
+    # every sigma's table at every slab from the nodes gives the same
+    # window to rounding, in extended precision, on both halves
+    nodes, t = 16, 0.5
+    spec = ContourSpec(nodes=nodes, dimension=len(y))
+    targets = transition_prob._window_targets(window, len(y), species_orbit(nu))
+    halves = [
+        (y, nu, R07, [(x, pi) for x, pi in targets if sum(x) >= sum(y)]),
+        (
+            transition_prob._reflect(y),
+            tuple(reversed(nu)),
+            RateParams(R07.q, R07.p),
+            [
+                (transition_prob._reflect(x), tuple(reversed(pi)))
+                for x, pi in targets
+                if sum(x) < sum(y)
+            ],
+        ),
+    ]
+    worst = scale = 0.0
+    for start, labels, rates, half in halves:
+        values, radius = transition_prob._contour_sum(start, labels, half, rates, t, spec)
+        spectra = _slab_reference(start, labels, rates, t, radius, nodes)
+        for (x, pi), value in zip(half, values):
+            expect = np.longdouble(radius) ** sum(x) * spectra[pi][tuple(np.mod(x, nodes))]
+            worst = max(worst, abs(value - expect))
+            scale = max(scale, abs(value))
+    assert worst <= 1e-17 * scale
 
 
 def test_engine_builds_one_scattering_matrix_per_half(monkeypatch):
