@@ -39,8 +39,8 @@ import jsonschema
 
 from . import __version__
 from .bethe_algebra import BethePoleError, RateParams
-from .contour_quadrature import MAX_NODES, ContourSpec, Quadrature
-from .markov_oracle import oracle_distribution
+from .contour_quadrature import DEFAULT_NODES, MAX_NODES, ContourSpec, Quadrature
+from .markov_oracle import DEFAULT_LEAK_TOL, oracle_distribution
 from .mc_simulator import CellCheck, simulate
 from .mc_simulator import compare as mc_compare
 from .permutations import inversion_classes
@@ -49,7 +49,6 @@ from .transition_prob import (
     delta_recovery,
     distribution_over_window,
     _evaluate,
-    _permutation_sum,
     _target_values,
 )
 
@@ -618,11 +617,12 @@ def cmd_verify_b_classes(args) -> int:
     if n < 2:
         raise UsageError("verify-b-classes needs at least 2 particles")
     spec = _spec_from(args, n)
+    ones = (1,) * n
     classes = []
     for entries, members in sorted(
         inversion_classes(n).items(), key=lambda kv: sorted(kv[0])
     ):
-        evaluation = _permutation_sum(y, x, members, rates, 0.0, spec)
+        evaluation = _evaluate(y, ones, [(x, ones)], rates, 0.0, spec, members)
         class_sum = abs(evaluation.values[0])
         classes.append(
             BClassRow(
@@ -820,13 +820,14 @@ def cmd_run(args) -> int:
 # Each command's help, handler, and the INPUTS it takes with their
 # defaults; ``...`` marks a required flag.
 _PROBLEM = {"problem": None, "p": None, "t": None, "y": None, "nu": None}
-_QUAD = {"nodes": 64, "radius": None}
+_QUAD = {"nodes": DEFAULT_NODES, "radius": None}
 COMMANDS = {
     "prob": (
         "transition probabilities for targets or a window",
         cmd_prob,
-        {**_PROBLEM, "x": None, "pi": None, "window": None, "leak_tol": 1e-10,
-         "with_oracle": False, "csv": None, "print_limit": 10, **_QUAD, "out": None},
+        {**_PROBLEM, "x": None, "pi": None, "window": None,
+         "leak_tol": DEFAULT_LEAK_TOL, "with_oracle": False, "csv": None,
+         "print_limit": 10, **_QUAD, "out": None},
     ),
     "verify-delta": (
         "t=0 point-mass recovery",
@@ -852,8 +853,8 @@ COMMANDS = {
     "oracle": (
         "finite-window Markov oracle distribution",
         cmd_oracle,
-        {**_PROBLEM, "x": None, "pi": None, "window": None, "leak_tol": 1e-10,
-         "mass_floor": 1e-12, "csv": None, "out": None},
+        {**_PROBLEM, "x": None, "pi": None, "window": None,
+         "leak_tol": DEFAULT_LEAK_TOL, "mass_floor": 1e-12, "csv": None, "out": None},
     ),
     "simulate": (
         "Monte Carlo histogram",
@@ -865,8 +866,8 @@ COMMANDS = {
         "Monte Carlo vs oracle or formula",
         cmd_compare,
         {**_PROBLEM, "window": None, "trials": ..., "seed": ..., "reference": "oracle",
-         "z_threshold": 4.0, "min_expected": 25.0, "leak_tol": 1e-10, **_QUAD,
-         "out": None},
+         "z_threshold": 4.0, "min_expected": 25.0, "leak_tol": DEFAULT_LEAK_TOL,
+         **_QUAD, "out": None},
     ),
 }
 

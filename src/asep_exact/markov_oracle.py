@@ -12,13 +12,15 @@ is bounded by the leakage of the free dynamics, estimated by a rate-1
 Poisson tail per particle (a particle's own attempts are the only way the
 occupied region's hull can grow).
 
-The generator is assembled on integer arrays, not state by state: the
-states become an (m, N) site array and a species-orbit index, each state
-gets an int64 key that increases in state order (sites read as a base-W
-number, W the window width, then the orbit index), every (particle,
-direction) move is found for all states at once by shifts and masks, and
-np.searchsorted maps the destination keys back to rows.  The matrix is
-bit for bit the one the per-state moves of ``single_step_moves`` give.
+The generator is assembled on integer arrays, not state by state.  The
+states are the product of a (C, N) array of site sets and the sorted
+species orbit, and only the returned distribution is keyed by tuples.
+Each state gets an int64 key that increases in state order (sites read
+as a base-W number, W the window width, then the orbit index), every
+(particle, direction) move is found for all states at once by shifts and
+masks, and np.searchsorted maps the destination keys back to rows.  The
+matrix is bit for bit the one the per-state moves of ``single_step_moves``
+give.
 
 Everything here is deliberately independent of the contour-integral
 machinery: plain state enumeration, scipy sparse matrices, Poisson tails.
@@ -27,6 +29,7 @@ machinery: plain state enumeration, scipy sparse matrices, Poisson tails.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,9 @@ from .bethe_algebra import RateParams
 Config = tuple[tuple[int, ...], tuple[int, ...]]  # (sites, species), both tuples
 
 UNIFORMIZATION_TAIL = 1e-12
+
+# Default bound on the mass that leaves a window chosen by window_for.
+DEFAULT_LEAK_TOL = 1e-10
 
 
 def check_config(sites: tuple[int, ...], species: tuple[int, ...]) -> None:
@@ -111,39 +117,34 @@ def predecessor_flows(config: Config, rates: RateParams) -> dict[Config, float]:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """All placements of the species multiset inside a site window, in a
-    fixed (sites-then-species lexicographic) order."""
+    """All placements of the species multiset inside a site window, in
+    sites-then-species lexicographic order: state k is the site set
+    ``sites[k // len(orbit)]`` with the labeling ``orbit[k % len(orbit)]``.
+    ``sites`` is a (C, N) int64 array of increasing site sets, ``orbit``
+    the sorted species orders."""
 
     window: tuple[int, int]
-    states: tuple[Config, ...]
-    index: dict[Config, int]
+    orbit: tuple[tuple[int, ...], ...]
+    sites: np.ndarray
 
     @classmethod
     def build(cls, window: tuple[int, int], n: int, nu: tuple[int, ...]) -> "StateSpace":
         lo, hi = window
-        if hi - lo + 1 < n:
+        width = hi - lo + 1
+        if width < n:
             raise ValueError("window too small for the particle count")
-        orbit = sorted(set(itertools.permutations(nu)))
-        states = tuple(
-            (sites, spc)
-            for sites in itertools.combinations(range(lo, hi + 1), n)
-            for spc in orbit
+        orbit = tuple(sorted(set(itertools.permutations(nu))))
+        if width**n * len(orbit) > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"window {tuple(window)} is too wide for int64 state keys "
+                f"with {n} particles and {len(orbit)} species orders"
+            )
+        sites = np.fromiter(
+            itertools.combinations(range(lo, hi + 1), n),
+            np.dtype((np.int64, n)),
+            math.comb(width, n),
         )
-        return cls(window=window, states=states, index={s: k for k, s in enumerate(states)})
-
-
-def _state_arrays(space: StateSpace):
-    """The states as an (m, N) site array and an orbit-index vector, plus
-    the sorted species orbit they index."""
-    orbit = sorted({spc for _, spc in space.states})
-    orbit_index = {spc: k for k, spc in enumerate(orbit)}
-    m = len(space.states)
-    n = len(orbit[0])
-    sites = np.fromiter(
-        itertools.chain.from_iterable(x for x, _ in space.states), np.int64, m * n
-    ).reshape(m, n)
-    orbit_of = np.fromiter((orbit_index[spc] for _, spc in space.states), np.int64, m)
-    return sites, orbit_of, orbit, orbit_index
+        return cls(window=window, orbit=orbit, sites=sites)
 
 
 def build_generator(space: StateSpace, rates: RateParams) -> sparse.csr_matrix:
@@ -159,15 +160,12 @@ def build_generator(space: StateSpace, rates: RateParams) -> sparse.csr_matrix:
     direction order as single_step_moves, so Q is the same bit for bit.
     """
     lo, hi = space.window
-    sites, orbit_of, orbit, orbit_index = _state_arrays(space)
+    orbit = space.orbit
+    size = len(orbit)
+    sites = np.repeat(space.sites, size, axis=0)
     m, n = sites.shape
-    width, size = hi - lo + 1, len(orbit)
-    if width**n * size > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"window {space.window} is too wide for int64 state keys "
-            f"with {n} particles and {size} species orders"
-        )
-    place = size * width ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    orbit_of = np.tile(np.arange(size, dtype=np.int64), len(space.sites))
+    place = size * (hi - lo + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = (sites - lo) @ place + orbit_of
 
     # per orbit entry and neighbour pair (b, b + 1): +1 when the left
@@ -175,6 +173,7 @@ def build_generator(space: StateSpace, rates: RateParams) -> sparse.csr_matrix:
     # `step` wins a swap where the entry equals step; and the orbit index
     # after swapping the pair
     pairs = range(n - 1)
+    orbit_index = {s: k for k, s in enumerate(orbit)}
     order = np.array([[(s[b] > s[b + 1]) - (s[b] < s[b + 1]) for b in pairs] for s in orbit])
     swapped = np.array(
         [[orbit_index[s[:b] + (s[b + 1], s[b]) + s[b + 2:]] for b in pairs] for s in orbit],
@@ -257,8 +256,6 @@ def single_particle_series(displacement: int, rates: RateParams, t: float) -> fl
     Terms are built by the ratio recursion term *= p q t^2 / (k (k+d)) so
     nothing ever overflows; the leading term uses logs for the same reason.
     """
-    import math
-
     p, q = float(rates.p), float(rates.q)
     d = int(displacement)
     if t == 0:
@@ -301,7 +298,9 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be nonnegative, got t = {t}")
 
 
-def window_for(y: tuple[int, ...], t: float, leak_tol: float = 1e-10) -> tuple[int, int]:
+def window_for(
+    y: tuple[int, ...], t: float, leak_tol: float = DEFAULT_LEAK_TOL
+) -> tuple[int, int]:
     """Smallest symmetric window around the initial sites whose leakage
     bound is at most leak_tol."""
     _check_time(t)
@@ -319,7 +318,7 @@ def oracle_distribution(
     nu: tuple[int, ...],
     rates: RateParams,
     t: float,
-    leak_tol: float = 1e-10,
+    leak_tol: float = DEFAULT_LEAK_TOL,
     window: tuple[int, int] | None = None,
 ):
     """Point-mass evolution as a dict Config -> probability, plus the
@@ -336,10 +335,8 @@ def oracle_distribution(
         )
     space = StateSpace.build(window, len(y), nu)
     gen = build_generator(space, rates)
-    dist = expm_action(gen, t, space.index[(tuple(y), tuple(nu))])
+    row = int(np.flatnonzero((space.sites == y).all(axis=1))[0])
+    dist = expm_action(gen, t, row * len(space.orbit) + space.orbit.index(tuple(nu)))
+    configs = itertools.product(map(tuple, space.sites.tolist()), space.orbit)
     delta = min(min(y) - window[0], window[1] - max(y))
-    return (
-        dict(zip(space.states, dist.tolist())),
-        window,
-        leakage_bound(len(y), t, delta),
-    )
+    return dict(zip(configs, dist.tolist())), window, leakage_bound(len(y), t, delta)

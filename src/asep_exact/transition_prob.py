@@ -68,6 +68,7 @@ from .contour_quadrature import (
     node_points,
 )
 from .markov_oracle import (
+    DEFAULT_LEAK_TOL,
     check_config,
     exit_rate,
     leakage_bound,
@@ -213,12 +214,16 @@ def _evaluate(
     rates: RateParams,
     t: float,
     spec: ContourSpec | None = None,
+    permutations: list[tuple[int, ...]] | None = None,
 ) -> Evaluation:
-    """Values for a batch of (sites, species) targets sharing one start.
+    """Values for a batch of (sites, species) targets sharing one start,
+    summed over ``permutations`` (default: all of S_N).
 
     Targets whose species multiset differs from nu's get an exact 0.
-    Targets left of the start (sum x < sum y) are computed on the mirrored
-    lattice, with p and q swapped; at p = 1 they are exactly 0.
+    Targets left of the start (sum x < sum y) of the full sum are computed
+    on the mirrored lattice, with p and q swapped; at p = 1 they are
+    exactly 0.  Only the full sum is mirror invariant, so a partial sum
+    keeps every target on the direct lattice.
     """
     check_config(tuple(y), tuple(nu))
     if t < 0:
@@ -226,18 +231,19 @@ def _evaluate(
     n = len(y)
     spec = _spec_for(spec, n)
     for x, pi in targets:
-        check_config(tuple(x), tuple(pi))
         if len(x) != n:
             raise ValueError("target size differs from initial size")
+        check_config(tuple(x), tuple(pi))
 
     orbit = species_orbit(tuple(nu))
     live = [k for k, (x, pi) in enumerate(targets) if tuple(pi) in orbit]
-    direct = [k for k in live if sum(targets[k][0]) >= sum(y)]
-    left = [k for k in live if sum(targets[k][0]) < sum(y)]
+    split = sum(y) if permutations is None else -np.inf
+    direct = [k for k in live if sum(targets[k][0]) >= split]
+    left = [k for k in live if sum(targets[k][0]) < split]
     out: list[complex] = [0j] * len(targets)
 
     values, radius = _contour_sum(
-        tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec
+        tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec, permutations
     )
     for k, v in zip(direct, values):
         out[k] = complex(v)
@@ -501,7 +507,7 @@ def distribution_over_window(
     rates: RateParams,
     t: float,
     window: tuple[int, int] | None = None,
-    leak_tol: float = 1e-10,
+    leak_tol: float = DEFAULT_LEAK_TOL,
     spec: ContourSpec | None = None,
 ) -> DistributionReport:
     """Every target inside a window, heavy enough that the mass outside is
@@ -566,22 +572,6 @@ def delta_recovery(
         nodes *= 2
 
 
-def _permutation_sum(y, x, permutations, rates, t, spec) -> Evaluation:
-    """The identical-species summands of ``permutations`` at target x,
-    summed by the contour engine.  The sum runs on the direct lattice
-    whatever x is: only the full sum over S_N is mirror invariant."""
-    y, x = tuple(y), tuple(x)
-    n = len(y)
-    spec = _spec_for(spec, n)
-    ones = (1,) * n
-    check_config(y, ones)
-    if len(x) != n:
-        raise ValueError("target size differs from initial size")
-    check_config(x, ones)
-    values, radius = _contour_sum(y, ones, [(x, ones)], rates, t, spec, permutations)
-    return Evaluation(values=tuple(map(complex, values)), quadrature=spec.quadrature(radius))
-
-
 def sigma_summand(
     y: tuple[int, ...],
     x: tuple[int, ...],
@@ -594,7 +584,8 @@ def sigma_summand(
     integral: scattering amplitude times kernels, no species coefficient."""
     if sorted(sigma) != list(range(1, len(y) + 1)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{len(y)}")
-    return _permutation_sum(y, x, [tuple(sigma)], rates, t, spec).values[0]
+    ones = (1,) * len(y)
+    return _evaluate(y, ones, [(x, ones)], rates, t, spec, [tuple(sigma)]).values[0]
 
 
 def inversion_class_sum(
@@ -610,7 +601,9 @@ def inversion_class_sum(
     classes = inversion_classes(len(y))
     if frozenset(entries) not in classes:
         raise ValueError(f"no inversion class {set(entries)} for n = {len(y)}")
-    return _permutation_sum(y, x, classes[frozenset(entries)], rates, 0.0, spec).values[0]
+    ones = (1,) * len(y)
+    members = classes[frozenset(entries)]
+    return _evaluate(y, ones, [(x, ones)], rates, 0.0, spec, members).values[0]
 
 
 def master_equation_residual(

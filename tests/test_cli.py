@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from asep_exact import ContourSpec, RateParams, cli, delta_recovery, distribution_over_window
-from asep_exact.transition_prob import _permutation_sum
+from asep_exact.transition_prob import _evaluate
 
 
 def run(argv):
@@ -319,6 +319,11 @@ BAD_INPUTS = [  # (manifest, what the error must name)
         {"command": "verify-b-classes", "p": 0.7, "y": [0, 1], "x": [1, 2, 3]},
         "target size differs",
     ),
+    (
+        {"command": "oracle", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2],
+         "window": [0, 1099511627776]},
+        "int64",
+    ),
 ]
 
 
@@ -364,8 +369,9 @@ R05, R07 = RateParams.from_p(0.5), RateParams.from_p(0.7)
     ),
     (
         ["verify-b-classes", "--p", "0.7", "--y", "0,1,2", "--x", "1,2,4", "--radius", "0.2"],
-        lambda: _permutation_sum(
-            (0, 1, 2), (1, 2, 4), [(1, 3, 2)], R07, 0.0, ContourSpec(radius=0.2, dimension=3)
+        lambda: _evaluate(
+            (0, 1, 2), (1, 1, 1), [((1, 2, 4), (1, 1, 1))], R07, 0.0,
+            ContourSpec(radius=0.2, dimension=3), [(1, 3, 2)],
         ).quadrature,
     ),
 ], ids=["prob", "verify-delta", "verify-b-classes"])

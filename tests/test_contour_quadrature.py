@@ -142,8 +142,11 @@ def test_engine_summands_match_a_direct_node_grid_sum(y, x, t):
     # sigma sum is mirror invariant
     rates = RateParams.from_p(0.7)
     n = len(y)
+    ones = (1,) * n
     for sigma in all_permutations(n):
-        evaluation = transition_prob._permutation_sum(y, x, [sigma], rates, t, None)
+        evaluation = transition_prob._evaluate(
+            y, ones, [(x, ones)], rates, t, None, [sigma]
+        )
         radius = evaluation.quadrature.radius
         expect = node_grid_mean(_direct_summand(y, x, sigma, rates, t), radius, 64, n)
         assert abs(evaluation.values[0] - expect) <= 1e-15, sigma

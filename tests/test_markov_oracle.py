@@ -1,5 +1,7 @@
 """Finite-window generator oracle: the independent ground truth."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -11,6 +13,7 @@ from asep_exact import (
     build_generator,
     distribution_over_window,
     oracle_distribution,
+    sigma_summand,
     simulate,
     single_particle_series,
     window_for,
@@ -82,12 +85,26 @@ def test_predecessor_flows_reverse_single_step():
             assert pred in flows
 
 
+def _states(space):
+    """The space's states as (sites, species) tuples, in state order."""
+    return [
+        (tuple(sites), species)
+        for sites in space.sites.tolist()
+        for species in space.orbit
+    ]
+
+
 def test_state_space_indexing():
     space = StateSpace.build((-1, 2), 2, (2, 1))
     # 4 sites choose 2, times the 2 arrangements of (1, 2)
-    assert len(space.states) == 12
-    for k, cfg in enumerate(space.states):
-        assert space.index[cfg] == k
+    assert space.orbit == ((1, 2), (2, 1))
+    assert space.sites.dtype == np.int64
+    site_sets = itertools.combinations(range(-1, 3), 2)
+    assert space.sites.tolist() == [list(c) for c in site_sets]
+    states = _states(space)
+    assert len(states) == 12
+    # sites-then-species lexicographic order, each state once
+    assert states == sorted(set(states))
 
 
 def test_generator_conserves_window_mass():
@@ -105,20 +122,22 @@ def _generator_from_moves(space, rates):
     """Q assembled state by state from single_step_moves: the reference
     for the array-built generator."""
     lo, hi = space.window
+    states = _states(space)
+    index = {config: k for k, config in enumerate(states)}
     rows, cols, vals = [], [], []
-    for k, config in enumerate(space.states):
+    for k, config in enumerate(states):
         total = 0.0
         for (sites, species), rate in single_step_moves(config, rates).items():
             if sites[0] < lo or sites[-1] > hi:
                 continue
             rows.append(k)
-            cols.append(space.index[(sites, species)])
+            cols.append(index[(sites, species)])
             vals.append(rate)
             total += rate
         rows.append(k)
         cols.append(k)
         vals.append(-total)
-    m = len(space.states)
+    m = len(states)
     return csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
@@ -152,18 +171,15 @@ def test_generator_equals_per_state_assembly(y, nu, window, p):
 
 
 def test_generator_rejects_keys_beyond_int64():
-    # 2^40 sites per coordinate: two coordinates need 2^80 > 2^63 keys
-    window = (0, 2**40)
-    states = (((0, 1), (1, 1)),)
-    space = StateSpace(window=window, states=states, index={states[0]: 0})
+    # 2^40 sites per coordinate: two coordinates need 2^80 > 2^63 keys.
+    # Raised before a single state is enumerated
     with pytest.raises(ValueError, match="int64"):
-        build_generator(space, R07)
+        StateSpace.build((0, 2**40), 2, (1, 1))
 
 
 def test_generator_rejects_incomplete_state_space():
     # the hop (0, 1) -> (0, 2) lands on a state the space does not list
-    states = (((0, 1), (1, 1)),)
-    space = StateSpace(window=(0, 2), states=states, index={states[0]: 0})
+    space = StateSpace(window=(0, 2), orbit=((1, 1),), sites=np.array([[0, 1]]))
     with pytest.raises(ValueError, match="missing"):
         build_generator(space, R07)
 
@@ -236,3 +252,6 @@ def test_negative_time_names_t():
             oracle_distribution((0, 1), (1, 2), R05, -0.3, window=window)
     with pytest.raises(ValueError, match="t = -0.3"):
         simulate((0, 1), (1, 2), R05, -0.3, 10, 1)
+    # a single summand goes through the same engine entry point
+    with pytest.raises(ValueError, match="nonnegative"):
+        sigma_summand((0, 1), (0, 1), (2, 1), R07, -0.5)
