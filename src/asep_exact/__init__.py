@@ -35,6 +35,7 @@ from .permutations import (
     inversion_classes,
     inversions,
     reduced_words,
+    species_orbit,
 )
 from .species_coeff import (
     BraidReport,
@@ -44,7 +45,6 @@ from .species_coeff import (
     expansion_summands,
     second_class_coefficient,
     species_coefficient,
-    species_orbit,
 )
 from .transition_prob import (
     DeltaReport,

@@ -35,12 +35,13 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Literal
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .bethe_algebra import BethePoleError, RateParams
 from .contour_quadrature import DEFAULT_NODES, MAX_NODES, ContourSpec, Quadrature
-from .markov_oracle import DEFAULT_LEAK_TOL, oracle_distribution
+from .markov_oracle import DEFAULT_LEAK_TOL, check_problem, oracle_distribution
 from .mc_simulator import CellCheck, simulate
 from .mc_simulator import compare as mc_compare
 from .permutations import inversion_classes
@@ -396,9 +397,9 @@ def _flag_type(schema):
 
 
 def _validate(doc, schema, what):
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
+    # the schemas are checked against their metaschema once, by the tests
+    exc = best_match(Draft202012Validator(schema).iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise UsageError(f"invalid {what} at {path}: {exc.message}") from exc
 
@@ -686,13 +687,15 @@ def cmd_verify_second_class(args) -> int:
 
 def cmd_oracle(args) -> int:
     rates, t, y, nu, targets, window, _ = _problem_from(args)
+    # the engine checks prob's targets; the oracle only looks its own up
+    check_problem(y, nu, t, targets or ())
     dist, used_window, leak = oracle_distribution(
         y, nu, rates, t, leak_tol=args.leak_tol, window=window
     )
-    if targets is not None:
-        wanted = [(tuple(x), tuple(pi)) for x, pi in targets]
-    else:
-        wanted = sorted(cfg for cfg, pr in dist.items() if pr >= args.mass_floor)
+    wanted = targets
+    if wanted is None:
+        # the oracle's states come in sorted order
+        wanted = [cfg for cfg, pr in dist.items() if pr >= args.mass_floor]
     rows = tuple(
         TargetRow(sites=x, species=pi, value=dist.get((x, pi), 0.0), imag=0.0)
         for x, pi in wanted

@@ -14,7 +14,8 @@ occupied region's hull can grow).
 
 The generator is assembled on integer arrays, not state by state.  The
 states are the product of a (C, N) array of site sets and the sorted
-species orbit, and only the returned distribution is keyed by tuples.
+species orbit; ``StateSpace.configs`` lists them as tuples, for the
+returned distribution and for the contour engine's windows.
 Each state gets an int64 key that increases in state order (sites read
 as a base-W number, W the window width, then the orbit index), every
 (particle, direction) move is found for all states at once by shifts and
@@ -37,6 +38,7 @@ from scipy import sparse
 from scipy.stats import poisson
 
 from .bethe_algebra import RateParams
+from .permutations import species_orbit
 
 Config = tuple[tuple[int, ...], tuple[int, ...]]  # (sites, species), both tuples
 
@@ -53,6 +55,17 @@ def check_config(sites: tuple[int, ...], species: tuple[int, ...]) -> None:
         raise ValueError(f"sites must be strictly increasing, got {sites}")
     if any(s < 1 for s in species):
         raise ValueError("species labels must be positive integers")
+
+
+def check_problem(y, nu, t: float, targets=()) -> None:
+    """The start (y, nu), the time and each (sites, species) target, in
+    that order: the targets must be configurations of len(y) particles."""
+    check_config(tuple(y), tuple(nu))
+    _check_time(t)
+    for sites, species in targets:
+        if len(sites) != len(y):
+            raise ValueError("target size differs from initial size")
+        check_config(tuple(sites), tuple(species))
 
 
 def single_step_moves(config: Config, rates: RateParams) -> dict[Config, float]:
@@ -87,41 +100,13 @@ def single_step_moves(config: Config, rates: RateParams) -> dict[Config, float]:
     return out
 
 
-def exit_rate(config: Config, rates: RateParams) -> float:
-    return sum(single_step_moves(config, rates).values())
-
-
-def predecessor_flows(config: Config, rates: RateParams) -> dict[Config, float]:
-    """States with a one-jump move into ``config``, with that move's rate."""
-    sites, species = config
-    n = len(sites)
-    candidates: set[Config] = set()
-    for i in range(n):
-        for step in (-1, 1):
-            new_sites = list(sites)
-            new_sites[i] = sites[i] + step
-            if len(set(new_sites)) == n:
-                candidates.add((tuple(sorted(new_sites)), species))
-    for i in range(n - 1):
-        if sites[i + 1] == sites[i] + 1 and species[i] != species[i + 1]:
-            new_species = list(species)
-            new_species[i], new_species[i + 1] = new_species[i + 1], new_species[i]
-            candidates.add((sites, tuple(new_species)))
-    flows: dict[Config, float] = {}
-    for cand in candidates:
-        rate = single_step_moves(cand, rates).get(config)
-        if rate:
-            flows[cand] = rate
-    return flows
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """All placements of the species multiset inside a site window, in
     sites-then-species lexicographic order: state k is the site set
     ``sites[k // len(orbit)]`` with the labeling ``orbit[k % len(orbit)]``.
     ``sites`` is a (C, N) int64 array of increasing site sets, ``orbit``
-    the sorted species orders."""
+    the sorted species orders.  A window narrower than N holds no state."""
 
     window: tuple[int, int]
     orbit: tuple[tuple[int, ...], ...]
@@ -131,9 +116,7 @@ class StateSpace:
     def build(cls, window: tuple[int, int], n: int, nu: tuple[int, ...]) -> "StateSpace":
         lo, hi = window
         width = hi - lo + 1
-        if width < n:
-            raise ValueError("window too small for the particle count")
-        orbit = tuple(sorted(set(itertools.permutations(nu))))
+        orbit = tuple(species_orbit(nu))
         if width**n * len(orbit) > np.iinfo(np.int64).max:
             raise ValueError(
                 f"window {tuple(window)} is too wide for int64 state keys "
@@ -142,9 +125,18 @@ class StateSpace:
         sites = np.fromiter(
             itertools.combinations(range(lo, hi + 1), n),
             np.dtype((np.int64, n)),
-            math.comb(width, n),
+            math.comb(max(width, 0), n),
         )
         return cls(window=window, orbit=orbit, sites=sites)
+
+    def configs(self) -> list[Config]:
+        """Every state as a (sites, species) tuple pair, in state order."""
+        return list(itertools.product(map(tuple, self.sites.tolist()), self.orbit))
+
+    def index(self, sites: tuple[int, ...], species: tuple[int, ...]) -> int:
+        """The state number of one configuration of the space."""
+        row = int(np.flatnonzero((self.sites == sites).all(axis=1))[0])
+        return row * len(self.orbit) + self.orbit.index(tuple(species))
 
 
 def build_generator(space: StateSpace, rates: RateParams) -> sparse.csr_matrix:
@@ -293,6 +285,12 @@ def leakage_bound(n: int, t: float, delta: int) -> float:
     return min(1.0, n * poisson_tail(t, delta))
 
 
+def window_leakage(y: tuple[int, ...], t: float, window: tuple[int, int]) -> float:
+    """Leakage bound of a window: the particles' distance to its nearer
+    edge is the stray a particle needs to reach outside it."""
+    return leakage_bound(len(y), t, min(min(y) - window[0], window[1] - max(y)))
+
+
 def _check_time(t: float) -> None:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got t = {t}")
@@ -325,8 +323,7 @@ def oracle_distribution(
     window used and its leakage bound.  Total mass is 1 up to roundoff
     because exiting moves are suppressed, but states near the boundary
     carry truncation bias up to the leakage bound."""
-    check_config(y, nu)
-    _check_time(t)
+    check_problem(y, nu, t)
     if window is None:
         window = window_for(y, t, leak_tol)
     elif not window[0] <= min(y) <= max(y) <= window[1]:
@@ -334,9 +331,5 @@ def oracle_distribution(
             f"window {tuple(window)} does not contain the start sites {tuple(y)}"
         )
     space = StateSpace.build(window, len(y), nu)
-    gen = build_generator(space, rates)
-    row = int(np.flatnonzero((space.sites == y).all(axis=1))[0])
-    dist = expm_action(gen, t, row * len(space.orbit) + space.orbit.index(tuple(nu)))
-    configs = itertools.product(map(tuple, space.sites.tolist()), space.orbit)
-    delta = min(min(y) - window[0], window[1] - max(y))
-    return dict(zip(configs, dist.tolist())), window, leakage_bound(len(y), t, delta)
+    dist = expm_action(build_generator(space, rates), t, space.index(y, nu))
+    return dict(zip(space.configs(), dist.tolist())), window, window_leakage(y, t, window)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe_algebra import RateParams
-from .markov_oracle import Config, _check_time, check_config
+from .markov_oracle import Config, check_problem
 
 # A block of trials, whose attempts are applied together, closes at
 # BLOCK_TRIALS trials or once its padded arrays (trials times the longest
@@ -149,8 +149,7 @@ def simulate(
     trials: int,
     seed: int,
 ) -> SimulationResult:
-    check_config(tuple(y), tuple(nu))
-    _check_time(t)
+    check_problem(y, nu, t)
     if trials < 1:
         raise ValueError("trials must be positive")
     bits = np.random.Philox(key=[seed, 0])

@@ -148,6 +148,11 @@ def all_permutations(n: int) -> list[Permutation]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def species_orbit(nu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All distinct rearrangements of a labeling, lexicographically sorted."""
+    return sorted(set(itertools.permutations(nu)))
+
+
 def inversion_classes(n: int) -> dict[frozenset[int], list[Permutation]]:
     """Partition the sigma with sigma(N) != N by the set B of entries b
     such that (N, b) is an inversion.

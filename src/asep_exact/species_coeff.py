@@ -61,6 +61,7 @@ from .permutations import (
     identity,
     inverse,
     inversions_below,
+    species_orbit,
     word_to_permutation,
 )
 
@@ -115,13 +116,6 @@ class IntegerRates(NamedTuple):
 
     p: int
     q: int
-
-
-def species_orbit(nu: SpeciesMap) -> list[SpeciesMap]:
-    """All distinct rearrangements of nu, lexicographically sorted."""
-    import itertools
-
-    return sorted(set(itertools.permutations(nu)))
 
 
 def label_swap(pi: SpeciesMap, i: int) -> SpeciesMap:

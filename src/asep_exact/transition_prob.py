@@ -69,11 +69,11 @@ from .contour_quadrature import (
 )
 from .markov_oracle import (
     DEFAULT_LEAK_TOL,
-    check_config,
-    exit_rate,
-    leakage_bound,
-    predecessor_flows,
+    StateSpace,
+    build_generator,
+    check_problem,
     window_for,
+    window_leakage,
 )
 from .permutations import (
     adjacent_swap,
@@ -81,8 +81,9 @@ from .permutations import (
     identity,
     inversion_classes,
     inversions,
+    species_orbit,
 )
-from .species_coeff import PairTable, coefficient_table, exchange_update, species_orbit
+from .species_coeff import PairTable, coefficient_table, exchange_update
 
 # Relative size of an imaginary residue worth surfacing.  The exact value
 # is real; the quadrature leaves a rounding-level imaginary part.
@@ -225,15 +226,9 @@ def _evaluate(
     exactly 0.  Only the full sum is mirror invariant, so a partial sum
     keeps every target on the direct lattice.
     """
-    check_config(tuple(y), tuple(nu))
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    check_problem(y, nu, t, targets)
     n = len(y)
     spec = _spec_for(spec, n)
-    for x, pi in targets:
-        if len(x) != n:
-            raise ValueError("target size differs from initial size")
-        check_config(tuple(x), tuple(pi))
 
     orbit = species_orbit(tuple(nu))
     live = [k for k, (x, pi) in enumerate(targets) if tuple(pi) in orbit]
@@ -490,17 +485,6 @@ def _target_values(targets, evaluation: Evaluation) -> list[TargetValue]:
     ]
 
 
-def _window_targets(window: tuple[int, int], n: int, orbit) -> list:
-    import itertools
-
-    lo, hi = window
-    return [
-        (sites, pi)
-        for sites in itertools.combinations(range(lo, hi + 1), n)
-        for pi in orbit
-    ]
-
-
 def distribution_over_window(
     y: tuple[int, ...],
     nu: tuple[int, ...],
@@ -516,9 +500,7 @@ def distribution_over_window(
     nu = tuple(nu)
     if window is None:
         window = window_for(y, t, leak_tol)
-    delta = min(min(y) - window[0], window[1] - max(y))
-    orbit = species_orbit(nu)
-    targets = _window_targets(window, len(y), orbit)
+    targets = StateSpace.build(window, len(y), nu).configs()
     evaluation = _evaluate(y, nu, targets, rates, t, spec)
     return DistributionReport(
         initial_sites=y,
@@ -527,7 +509,7 @@ def distribution_over_window(
         time=float(t),
         quadrature=evaluation.quadrature,
         window=window,
-        leakage=leakage_bound(len(y), t, max(delta, 0)),
+        leakage=window_leakage(y, t, window),
         values=tuple(_target_values(targets, evaluation)),
     )
 
@@ -552,7 +534,7 @@ def delta_recovery(
     n = len(y)
     spec = _spec_for(spec, n)
     window = (min(y) - margin, max(y) + margin)
-    targets = _window_targets(window, n, species_orbit(nu))
+    targets = StateSpace.build(window, n, nu).configs()
     nodes, radius = spec.nodes, spec.radius
     while True:
         run_spec = ContourSpec(nodes=nodes, radius=radius, dimension=n)
@@ -618,19 +600,36 @@ def master_equation_residual(
 ) -> MasterEquationReport:
     """Central-difference time derivative of one probability against the
     in/out flow balance of the jump rates.  Independent of the Markov
-    oracle's matrix exponential: rates come from the single-step move
-    enumeration, probabilities from the contour integral."""
+    oracle's matrix exponential: the rates are the generator's
+    (``build_generator``), the probabilities come from the contour
+    integral.
+
+    The moves into and out of x only see which of its gaps are 1, so the
+    generator is built around a copy of x with every wider gap closed to
+    2, on the window one site beyond it: at most 2N + 1 sites, however far
+    apart x's particles are.  Each neighbour of the copy maps back to x's
+    neighbour by the same particle shift, and in the same order.
+    """
     y, nu, x, pi = tuple(y), tuple(nu), tuple(x), tuple(pi)
-    target = (x, pi)
-    flows = predecessor_flows(target, rates)
-    sources = sorted(flows)
-    batch = sources + [target]
-    here = _evaluate(y, nu, batch, rates, t, spec).values
-    plus = _evaluate(y, nu, [target], rates, t + dt, spec).values[0]
-    minus = _evaluate(y, nu, [target], rates, t - dt, spec).values[0]
+    # checked before the neighbourhood is built from x
+    check_problem(y, nu, t, [(x, pi)])
+    local = np.concatenate([[1], 1 + np.cumsum(np.minimum(np.diff(x), 2))])
+    space = StateSpace.build((0, int(local[-1]) + 1), len(x), pi)
+    k = space.index(tuple(local), pi)
+    column = build_generator(space, rates)[:, [k]].toarray().ravel()
+    exit_rate, column[k] = -float(column[k]), 0.0
+    rows = np.flatnonzero(column)
+    size = len(space.orbit)
+    sources = [
+        (tuple((space.sites[r // size] - local + x).tolist()), space.orbit[r % size])
+        for r in rows.tolist()
+    ]
+    here = _evaluate(y, nu, sources + [(x, pi)], rates, t, spec).values
+    plus = _evaluate(y, nu, [(x, pi)], rates, t + dt, spec).values[0]
+    minus = _evaluate(y, nu, [(x, pi)], rates, t - dt, spec).values[0]
     lhs = (plus.real - minus.real) / (2 * dt)
-    rhs = sum(flows[s] * v.real for s, v in zip(sources, here))
-    rhs -= exit_rate(target, rates) * here[-1].real
+    rhs = sum(rate * v.real for rate, v in zip(column[rows].tolist(), here))
+    rhs -= exit_rate * here[-1].real
     return MasterEquationReport(
         time_derivative=lhs, flow_balance=rhs, residual=abs(lhs - rhs), dt=dt
     )

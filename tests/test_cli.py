@@ -324,6 +324,33 @@ BAD_INPUTS = [  # (manifest, what the error must name)
          "window": [0, 1099511627776]},
         "int64",
     ),
+    # the oracle's targets are checked as the engine's are
+    (
+        {"command": "oracle", "p": 0.7, "t": 0.5, "y": [0, 1, 2], "nu": [2, 1, 2],
+         "x": [3, 4], "pi": [2, 2]},
+        "target size differs from initial size",
+    ),
+    (
+        {"command": "oracle", "p": 0.7, "t": 0.5, "y": [0, 1, 2], "nu": [2, 1, 2],
+         "x": [3, -1, 2], "pi": [2, 2, 1]},
+        "sites must be strictly increasing, got (3, -1, 2)",
+    ),
+    (
+        {"command": "oracle", "p": 0.7, "t": 0.5, "y": [0, 1, 2], "nu": [2, 1, 2],
+         "x": [1, 2, 3], "pi": [2, 0, 1]},
+        "species labels must be positive integers",
+    ),
+    (
+        {"command": "oracle", "p": 0.7, "t": 0.5, "y": [0, 1, 2], "nu": [2, 1, 2],
+         "x": [1, 2, 3], "pi": [2, 1]},
+        "sites and species lengths differ",
+    ),
+    # the engine's window goes through the oracle's int64 guard too
+    (
+        {"command": "prob", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2],
+         "window": [0, 1099511627776]},
+        "int64",
+    ),
 ]
 
 

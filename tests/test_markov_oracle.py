@@ -16,13 +16,12 @@ from asep_exact import (
     sigma_summand,
     simulate,
     single_particle_series,
+    transition_probability,
     window_for,
 )
 from asep_exact.markov_oracle import (
     check_config,
-    exit_rate,
     leakage_bound,
-    predecessor_flows,
     single_step_moves,
 )
 
@@ -66,25 +65,6 @@ def test_single_step_moves_single_species_exclusion():
     }
 
 
-def test_exit_rate_is_total_outflow():
-    config = ((0, 1, 3), (2, 1, 2))
-    moves = single_step_moves(config, R07)
-    assert exit_rate(config, R07) == pytest.approx(sum(moves.values()))
-
-
-def test_predecessor_flows_reverse_single_step():
-    config = ((0, 2), (1, 2))
-    flows = predecessor_flows(config, R07)
-    for pred, rate in flows.items():
-        forward = single_step_moves(pred, R07)
-        assert forward[config] == pytest.approx(rate)
-    # every state that can reach config in one move is found
-    others = [((0, 1), (1, 2)), ((0, 3), (1, 2)), ((1, 2), (2, 1)), ((-1, 2), (1, 2))]
-    for pred in others:
-        if config in single_step_moves(pred, R07):
-            assert pred in flows
-
-
 def _states(space):
     """The space's states as (sites, species) tuples, in state order."""
     return [
@@ -105,6 +85,11 @@ def test_state_space_indexing():
     assert len(states) == 12
     # sites-then-species lexicographic order, each state once
     assert states == sorted(set(states))
+    assert space.configs() == states
+    # a window narrower than the particle count holds no state
+    empty = StateSpace.build((3, 3), 2, (1, 2))
+    assert empty.sites.shape == (0, 2)
+    assert empty.configs() == []
 
 
 def test_generator_conserves_window_mass():
@@ -243,6 +228,8 @@ def test_negative_time_names_t():
     # about t, not a search for a window that cannot exist
     with pytest.raises(ValueError, match="t = -0.3"):
         window_for((0, 1), -0.3)
+    with pytest.raises(ValueError, match="got t = -0.3"):
+        transition_probability((0, 1), (1, 2), (0, 1), (1, 2), R05, -0.3)
     with pytest.raises(ValueError, match="t = -0.3"):
         distribution_over_window((0, 1), (1, 2), R05, -0.3)
     with pytest.raises(ValueError, match="nonnegative"):

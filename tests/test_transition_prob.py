@@ -14,6 +14,7 @@ import scipy.fft
 from asep_exact import (
     ContourSpec,
     RateParams,
+    StateSpace,
     delta_recovery,
     distribution_over_window,
     inversion_class_sum,
@@ -239,6 +240,19 @@ def test_master_equation_residual_small_cases():
         assert rep.dt == 1e-3
 
 
+def test_master_equation_residual_spread_target():
+    # the rates come from the target's neighbourhood, so a target whose
+    # particles are thousands of sites apart costs what a compact one does
+    cases = [
+        ((0, 5000), (2, 1), (1, 5000), (2, 1)),
+        ((0, 1, 5000), (2, 1, 1), (0, 1, 5001), (1, 2, 1)),
+    ]
+    for y, nu, x, pi in cases:
+        rep = master_equation_residual(y, nu, x, pi, R07, 0.5)
+        assert abs(rep.time_derivative) > 1e-2
+        assert rep.residual <= 1e-6
+
+
 def test_time_zero_probability_is_delta():
     assert transition_probability((0, 3), (1, 2), (0, 3), (1, 2), R07, 0.0) == (
         pytest.approx(1.0, abs=1e-12)
@@ -388,7 +402,7 @@ def test_factored_planes_match_a_per_slab_reference(y, nu, window):
     # window to rounding, in extended precision, on both halves
     nodes, t = 16, 0.5
     spec = ContourSpec(nodes=nodes, dimension=len(y))
-    targets = transition_prob._window_targets(window, len(y), species_orbit(nu))
+    targets = StateSpace.build(window, len(y), nu).configs()
     halves = [
         (y, nu, R07, [(x, pi) for x, pi in targets if sum(x) >= sum(y)]),
         (
