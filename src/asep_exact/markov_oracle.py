@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ UNIFORMIZATION_TAIL = 1e-12
 
 # Default bound on the mass that leaves a window chosen by window_for.
 DEFAULT_LEAK_TOL = 1e-10
+
+# Most states a StateSpace may hold; a larger one is refused before its
+# site sets are enumerated.
+MAX_STATES = 1 << 22
 
 
 def check_config(sites: tuple[int, ...], species: tuple[int, ...]) -> None:
@@ -106,7 +111,9 @@ class StateSpace:
     sites-then-species lexicographic order: state k is the site set
     ``sites[k // len(orbit)]`` with the labeling ``orbit[k % len(orbit)]``.
     ``sites`` is a (C, N) int64 array of increasing site sets, ``orbit``
-    the sorted species orders.  A window narrower than N holds no state."""
+    the sorted species orders.  A window narrower than N holds no state;
+    one of more than MAX_STATES states, or with keys past int64, is a
+    ValueError before any state is enumerated."""
 
     window: tuple[int, int]
     orbit: tuple[tuple[int, ...], ...]
@@ -116,16 +123,25 @@ class StateSpace:
     def build(cls, window: tuple[int, int], n: int, nu: tuple[int, ...]) -> "StateSpace":
         lo, hi = window
         width = hi - lo + 1
-        orbit = tuple(species_orbit(nu))
-        if width**n * len(orbit) > np.iinfo(np.int64).max:
+        orders = math.factorial(n) // math.prod(
+            map(math.factorial, Counter(nu).values())
+        )
+        if width**n * orders > np.iinfo(np.int64).max:
             raise ValueError(
                 f"window {tuple(window)} is too wide for int64 state keys "
-                f"with {n} particles and {len(orbit)} species orders"
+                f"with {n} particles and {orders} species orders"
             )
+        count = math.comb(max(width, 0), n)
+        if count * orders > MAX_STATES:
+            raise ValueError(
+                f"window {tuple(window)} holds {count * orders:,} states with "
+                f"{n} particles, more than the {MAX_STATES:,} a state space may hold"
+            )
+        orbit = tuple(species_orbit(nu))
         sites = np.fromiter(
             itertools.combinations(range(lo, hi + 1), n),
             np.dtype((np.int64, n)),
-            math.comb(max(width, 0), n),
+            count,
         )
         return cls(window=window, orbit=orbit, sites=sites)
 

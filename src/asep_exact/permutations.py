@@ -23,6 +23,7 @@ of slot indices and are applied rightmost letter first.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
@@ -149,8 +150,14 @@ def all_permutations(n: int) -> list[Permutation]:
 
 
 def species_orbit(nu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All distinct rearrangements of a labeling, lexicographically sorted."""
-    return sorted(set(itertools.permutations(nu)))
+    """All distinct rearrangements of a labeling, lexicographically sorted.
+    Each prefix is extended by the distinct labels it has left, so the
+    cost grows with the orbit, not with N!."""
+    labels = Counter(nu)
+    orbit = [()]
+    for _ in nu:
+        orbit = [o + (v,) for o in orbit for v in sorted(labels - Counter(o))]
+    return orbit
 
 
 def inversion_classes(n: int) -> dict[frozenset[int], list[Permutation]]:

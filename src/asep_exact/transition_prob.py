@@ -15,7 +15,10 @@ of all targets at once are an inverse DFT of G_pi on the node grid:
 
     P(x, pi) = r^(sum x) * ifftn(G_pi)[x mod K]
 
-which is exactly the per-target trapezoid sum, aliasing included.
+which is exactly the per-target trapezoid sum, aliasing included.  The
+kernels' factor r^(-sum y) is moved into that readout scale, which is
+then r^(sum x - sum y), so no power grows with the sites' distance from
+the origin.
 
 The K^N grid is never built.  A slab (one node fixed on the contour of
 xi_1) is a K^(N-1) grid; in xi' coordinates sigma's slab is the plane
@@ -88,6 +91,10 @@ from .species_coeff import PairTable, coefficient_table, exchange_update
 # Relative size of an imaginary residue worth surfacing.  The exact value
 # is real; the quadrature leaves a rounding-level imaginary part.
 IMAG_REL_TOL = 1e-9
+
+# Slack on a window's total mass: outside [1 - leakage - MASS_TOL,
+# 1 + MASS_TOL] the window's values are flagged as off.
+MASS_TOL = 1e-8
 
 # Cap on one slab's node-grid size, K^(N-1) points of extended-precision
 # complex.  64^3 fits comfortably; one more axis would not.
@@ -182,13 +189,17 @@ def _resolve_radius(spec: ContourSpec, rates, t, min_exponent, n) -> np.longdoub
 
 
 def _axis_kernels(z, y, rates, t, nodes):
-    """Per-variable node vectors: z^{-y_v} * exp(dispersion * t) / K.
+    """Per-variable node vectors: w^{-k y_v} * exp(dispersion * t) / K.
 
     The -1 in the pole order and the dz = z * (node spacing) weight cancel
-    to a single z^{-y_v} here.
+    to a single z^{-y_v} = r^{-y_v} w^{-k y_v}.  The phase is read from
+    the unit node table and r^{-y_v} is left to the readout, which scales
+    each target by r^(sum x - sum y), so no power grows with the distance
+    of the sites from the origin.
     """
     growth = np.exp(dispersion(z, rates) * np.longdouble(t)) if t else 1
-    return [z ** (-int(yv)) * growth / np.longdouble(nodes) for yv in y]
+    unit, k = node_points(1, nodes), np.arange(nodes)
+    return [unit[(-k * int(yv)) % nodes] * growth / np.longdouble(nodes) for yv in y]
 
 
 def _reflect(sites: tuple[int, ...]) -> tuple[int, ...]:
@@ -284,7 +295,7 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
     z = node_points(radius, nodes)
     kernels = _axis_kernels(z, y, ext, t, nodes)
     modes = sites % nodes
-    scale = np.longdouble(radius) ** sites.sum(axis=1)
+    scale = np.longdouble(radius) ** (sites.sum(axis=1) - sum(y))
 
     if n == 1:
         spectrum = scipy.fft.ifft(kernels[0], norm="forward")
@@ -495,14 +506,16 @@ def distribution_over_window(
     spec: ContourSpec | None = None,
 ) -> DistributionReport:
     """Every target inside a window, heavy enough that the mass outside is
-    below leak_tol (or inside an explicit window)."""
+    below leak_tol (or inside an explicit window).  A total mass outside
+    [1 - leakage - MASS_TOL, 1 + MASS_TOL] is flagged with a warning: the
+    node count is then too low for the window's values."""
     y = tuple(y)
     nu = tuple(nu)
     if window is None:
         window = window_for(y, t, leak_tol)
     targets = StateSpace.build(window, len(y), nu).configs()
     evaluation = _evaluate(y, nu, targets, rates, t, spec)
-    return DistributionReport(
+    report = DistributionReport(
         initial_sites=y,
         initial_species=nu,
         p=float(rates.p),
@@ -512,6 +525,15 @@ def distribution_over_window(
         leakage=window_leakage(y, t, window),
         values=tuple(_target_values(targets, evaluation)),
     )
+    mass = report.total_mass
+    if not 1 - report.leakage - MASS_TOL <= mass <= 1 + MASS_TOL:
+        warnings.warn(
+            f"window {window}: total mass {mass:.6g} lies outside "
+            f"[1 - {report.leakage:.3g}, 1] by more than {MASS_TOL:g} "
+            f"at {report.quadrature.nodes} nodes",
+            stacklevel=2,
+        )
+    return report
 
 
 def delta_recovery(
@@ -613,6 +635,10 @@ def master_equation_residual(
     y, nu, x, pi = tuple(y), tuple(nu), tuple(x), tuple(pi)
     # checked before the neighbourhood is built from x
     check_problem(y, nu, t, [(x, pi)])
+    if not 0 < dt <= t:
+        raise ValueError(
+            f"the central difference at t - dt needs 0 < dt <= t, got t = {t}, dt = {dt}"
+        )
     local = np.concatenate([[1], 1 + np.cumsum(np.minimum(np.diff(x), 2))])
     space = StateSpace.build((0, int(local[-1]) + 1), len(x), pi)
     k = space.index(tuple(local), pi)

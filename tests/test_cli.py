@@ -351,6 +351,17 @@ BAD_INPUTS = [  # (manifest, what the error must name)
          "window": [0, 1099511627776]},
         "int64",
     ),
+    # a window of billions of states is refused before it is enumerated
+    (
+        {"command": "prob", "p": 0.5, "t": 0.3, "y": [0, 1, 2], "nu": [1, 2, 1],
+         "window": [-1000, 1000]},
+        "3,999,999,000 states",
+    ),
+    (
+        {"command": "oracle", "p": 0.5, "t": 0.3, "y": [0, 1, 2], "nu": [1, 2, 1],
+         "window": [-1000, 1000]},
+        "3,999,999,000 states",
+    ),
 ]
 
 

@@ -162,6 +162,16 @@ def test_generator_rejects_keys_beyond_int64():
         StateSpace.build((0, 2**40), 2, (1, 1))
 
 
+def test_state_space_refuses_huge_spaces_before_enumerating():
+    # 1,333,333,000 site sets times 3 species orders: refused by count,
+    # before the site array (30 GiB) is allocated
+    with pytest.raises(ValueError, match="3,999,999,000 states"):
+        StateSpace.build((-1000, 1000), 3, (1, 2, 1))
+    # only 15,504 site sets, but keys up to 20^15 > 2^63
+    with pytest.raises(ValueError, match="int64"):
+        StateSpace.build((0, 19), 15, (1,) * 15)
+
+
 def test_generator_rejects_incomplete_state_space():
     # the hop (0, 1) -> (0, 2) lands on a state the space does not list
     space = StateSpace(window=(0, 2), orbit=((1, 1),), sites=np.array([[0, 1]]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asep_exact import RateParams, compare, oracle_distribution, simulate
-from asep_exact.mc_simulator import BLOCK_TRIALS, run_trial
+from asep_exact.mc_simulator import _run_trial
 
 R07 = RateParams.from_p(0.7)
 
@@ -57,7 +57,7 @@ def _reference_trial(y, nu, rates, t, rng):
 @pytest.mark.parametrize(
     "y, nu, p, t, trials",
     [
-        ((0, 1, 2), (2, 1, 2), 0.7, 0.5, BLOCK_TRIALS + 37),
+        ((0, 1, 2), (2, 1, 2), 0.7, 0.5, 1061),
         ((0, 1), (1, 2), 0.7, 0.0, 50),
         ((0, 1, 2, 3), (2, 1, 2, 1), 1.0, 0.5, 300),
         ((0,), (1,), 0.5, 2.0, 300),
@@ -69,7 +69,7 @@ def _reference_trial(y, nu, rates, t, rng):
 )
 def test_simulate_equals_per_trial_streams(y, nu, p, t, trials):
     # every trial's draws come from a fresh Philox(key=[seed, trial]),
-    # so the blocked sampler must give the same histogram, cell for cell
+    # so the re-keyed sampler must give the same histogram, cell for cell
     # and in the same first-seen order
     rates = RateParams.from_p(p)
     counts = _reference_counts(y, nu, rates, t, trials, seed=2024, run_trial_upto=20)
@@ -77,32 +77,9 @@ def test_simulate_equals_per_trial_streams(y, nu, p, t, trials):
     assert list(result.counts.items()) == list(counts.items())
 
 
-def test_blocks_close_at_the_cell_budget(monkeypatch):
-    # with a budget of 3,000 padded cells, trials of about 400 attempts
-    # run in blocks of a few trials, and the histogram does not change
-    from asep_exact import mc_simulator
-
-    monkeypatch.setattr(mc_simulator, "BLOCK_CELLS", 3000)
-    blocks = []
-    run_block = mc_simulator._run_block
-
-    def recording(y, nu, p, draws):
-        blocks.append((len(draws), max(len(m) for m, _ in draws)))
-        return run_block(y, nu, p, draws)
-
-    monkeypatch.setattr(mc_simulator, "_run_block", recording)
-    y, nu, rates = (0, 1, 2, 3), (2, 1, 2, 1), R07
-    result = simulate(y, nu, rates, 100.0, 40, 8)
-    assert len(blocks) >= 5 and sum(b for b, _ in blocks) == 40
-    # every block but the last closed on reaching the budget
-    assert all(b * longest >= 3000 for b, longest in blocks[:-1])
-    counts = _reference_counts(y, nu, rates, 100.0, 40, seed=8)
-    assert list(result.counts.items()) == list(counts.items())
-
-
 def _reference_counts(y, nu, rates, t, trials, seed, run_trial_upto=0):
     """Histogram of per-trial reference runs in first-seen order; the
-    first run_trial_upto trials are also checked through run_trial."""
+    first run_trial_upto trials are also checked through _run_trial."""
     counts = {}
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
@@ -110,15 +87,13 @@ def _reference_counts(y, nu, rates, t, trials, seed, run_trial_upto=0):
         counts[cfg] = counts.get(cfg, 0) + 1
         if trial < run_trial_upto:
             rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-            assert run_trial(y, nu, rates, t, rng) == cfg
+            assert _run_trial(y, nu, rates, t, rng) == cfg
     return counts
 
 
 def test_run_trial_zero_time_is_identity():
-    import numpy as np
-
     rng = np.random.Generator(np.random.Philox(key=[0, 0]))
-    assert run_trial((0, 1), (1, 2), R07, 0.0, rng) == ((0, 1), (1, 2))
+    assert _run_trial((0, 1), (1, 2), R07, 0.0, rng) == ((0, 1), (1, 2))
 
 
 def test_compare_against_oracle_passes():

@@ -43,6 +43,9 @@ def test_orbit_is_all_rearrangements():
     assert sorted(species_orbit((1, 2, 2))) == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
     assert len(species_orbit((1, 2, 3))) == 6
     assert species_orbit((2, 2)) == [(2, 2)]
+    # listed without going through the 16! orders of the labels
+    orbit = [(1,) * k + (2,) + (1,) * (15 - k) for k in reversed(range(16))]
+    assert species_orbit((1,) * 15 + (2,)) == orbit
 
 
 def test_identity_table_is_point_mass():

@@ -253,6 +253,30 @@ def test_master_equation_residual_spread_target():
         assert rep.residual <= 1e-6
 
 
+def test_master_equation_residual_names_t_and_dt():
+    # the central difference would evaluate at t - dt < 0
+    with pytest.raises(ValueError, match=r"t = 0\.0, dt = 0\.001"):
+        master_equation_residual((0,), (1,), (0,), (1,), RateParams.from_p(0.5), 0.0)
+
+
+def test_far_starts_give_the_compact_value():
+    # the kernels' phases and the readout scale are relative to the
+    # start, so nothing overflows thousands of sites from the origin
+    compact = transition_probability((0, 1), (2, 1), (1, 2), (2, 1), R07, 0.5)
+    far = transition_probability((6000, 6001), (2, 1), (6001, 6002), (2, 1), R07, 0.5)
+    assert abs(far - compact) <= 1e-15
+    compact = transition_probability((0, 20), (2, 1), (1, 20), (2, 1), R07, 0.5)
+    far = transition_probability((0, 10000), (2, 1), (1, 10000), (2, 1), R07, 0.5)
+    assert abs(far - compact) <= 1e-15
+
+
+def test_window_with_mass_off_warns():
+    # at t = 10 the default 64 nodes alias: the window's mass is 0.917
+    with pytest.warns(UserWarning, match=r"window \(-37, 38\): total mass 0\.91.* 64 nodes"):
+        report = distribution_over_window((0, 1), (2, 1), R07, 10.0, window=(-37, 38))
+    assert abs(report.total_mass - 1) > 1e-2
+
+
 def test_time_zero_probability_is_delta():
     assert transition_probability((0, 3), (1, 2), (0, 3), (1, 2), R07, 0.0) == (
         pytest.approx(1.0, abs=1e-12)
@@ -421,7 +445,10 @@ def test_factored_planes_match_a_per_slab_reference(y, nu, window):
         values, radius = transition_prob._contour_sum(start, labels, half, rates, t, spec)
         spectra = _slab_reference(start, labels, rates, t, radius, nodes)
         for (x, pi), value in zip(half, values):
-            expect = np.longdouble(radius) ** sum(x) * spectra[pi][tuple(np.mod(x, nodes))]
+            expect = (
+                np.longdouble(radius) ** (sum(x) - sum(start))
+                * spectra[pi][tuple(np.mod(x, nodes))]
+            )
             worst = max(worst, abs(value - expect))
             scale = max(scale, abs(value))
     assert worst <= 1e-17 * scale
