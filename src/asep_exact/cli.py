@@ -93,7 +93,7 @@ INPUTS = {
     "points": ({"type": "integer", "minimum": 1}, "random rational points"),
     "max_n": ({"type": "integer", "minimum": 2}, "largest particle count"),
     "trials": ({"type": "integer", "minimum": 1}, "Monte Carlo trials"),
-    "seed": ({"type": "integer", "minimum": 0}, "random seed"),
+    "seed": ({"type": "integer", "minimum": 0, "maximum": 2**64 - 1}, "random seed"),
     "z_threshold": (_POSITIVE, "largest |z| that passes"),
     "min_expected": (_POSITIVE, "least expected count of a checked cell"),
     "reference": ({"enum": ["oracle", "formula"]}, "distribution checked against"),

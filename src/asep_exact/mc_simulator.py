@@ -9,24 +9,32 @@ swaps with its neighbor, anything else is a no-op.  No-ops are exactly
 the uniformization slack, so the trial distribution is the true law at
 time t with zero time-step bias.
 
-Each trial gets its own counter-mode stream keyed by (seed, trial index),
-which makes runs reproducible bit for bit and independent of trial order
-or batching.  Philox is counter-based, so one bit generator serves every
-trial: it is re-keyed to (seed, trial) through its state setter, and the
-trial's Poisson count, movers and uniforms are drawn in that order, the
-same draws a fresh Philox(key=[seed, trial]) would give.  Each trial is
-then applied attempt by attempt, and its final configuration is counted
-in the order of first occurrence.
+A run draws from three counter-based Philox streams keyed by its seed:
+Philox(key=[seed, 0]) gives every trial's Poisson(N t) attempt count,
+Philox(key=[seed, 1]) every attempt's mover, from integers(0, N), and
+Philox(key=[seed, 2]) every attempt's direction, rightward when
+random() < p.  Trial k takes the next count from the first stream and
+the next that many movers and directions from the other two, so a run is
+fixed by (seed, trials) and its first k trials are the k-trial run.
+The streams are drawn in blocks of at most _BLOCK values: numpy's
+poisson, integers and random give the same sequence however their calls
+are split, so the block size changes no output and only bounds memory.
+Each trial applies its attempts one by one, and its final configuration
+is counted in the order of first occurrence.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from .bethe_algebra import RateParams
 from .markov_oracle import Config, check_problem
+
+_BLOCK = 1 << 14  # values per numpy call on each stream; changes no output
 
 
 @dataclass(frozen=True)
@@ -66,28 +74,37 @@ class ComparisonReport:
         return max((abs(c.z) for c in self.checked), default=0.0)
 
 
-def _run_trial(
-    y: tuple[int, ...], nu: tuple[int, ...], rates: RateParams, t: float, rng
-) -> Config:
-    """One trial from rng: its draws in the fixed order Poisson(N t)
-    attempts, their movers, their uniforms (rightward when below p), then
-    each attempt applied in turn: a hop when the target site is empty, a
-    swap when the neighbour there has a smaller species, else nothing."""
+def _attempt_blocks(movers, directions, n: int, p: float, total: int):
+    """The next ``total`` attempts as (mover, step) pairs, step +1 when the
+    direction stream's uniform is below p and -1 otherwise, drawn at most
+    ``_BLOCK`` at a time from the mover and direction streams."""
+    while total > 0:
+        size = min(total, _BLOCK)
+        total -= size
+        yield zip(
+            movers.integers(0, n, size=size).tolist(),
+            np.where(directions.random(size=size) < p, 1, -1).tolist(),
+        )
+
+
+def _run_trial(y: tuple[int, ...], nu: tuple[int, ...], attempts) -> Config:
+    """The configuration reached from (y, nu) by applying each (mover,
+    step) attempt in turn: a hop when the target site is empty, a swap
+    when the neighbour there has a smaller species, else nothing."""
     sites, species = list(y), list(nu)
     n = len(sites)
-    attempts = int(rng.poisson(n * t))
-    if attempts:
-        movers = rng.integers(0, n, size=attempts).tolist()
-        rightward = (rng.random(size=attempts) < float(rates.p)).tolist()
-        for i, right in zip(movers, rightward):
-            step = 1 if right else -1
-            j = i + step
-            if 0 <= j < n and sites[j] == sites[i] + step:
-                if species[i] > species[j]:
-                    species[i], species[j] = species[j], species[i]
-            else:
-                sites[i] += step
+    for i, step in attempts:
+        j = i + step
+        if 0 <= j < n and sites[j] == sites[i] + step:
+            if species[i] > species[j]:
+                species[i], species[j] = species[j], species[i]
+        else:
+            sites[i] += step
     return (tuple(sites), tuple(species))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def simulate(
@@ -99,22 +116,32 @@ def simulate(
     seed: int,
 ) -> SimulationResult:
     check_problem(y, nu, t)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    bits = np.random.Philox(key=[seed, 0])
-    rng = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    trials, seed = int(trials), int(seed)
+    # a uint64 key: a list of Python ints above 2**63 would pass through float64
+    count_stream, movers, directions = (
+        np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        for stream in range(3)
+    )
+    n, p = len(y), float(rates.p)
     counts: dict[Config, int] = {}
-    for trial in range(trials):
-        key[1] = trial
-        bits.state = state
-        cfg = _run_trial(y, nu, rates, t, rng)
-        counts[cfg] = counts.get(cfg, 0) + 1
+    done = 0
+    while done < trials:
+        block = count_stream.poisson(n * t, size=min(_BLOCK, trials - done))
+        done += block.size
+        attempts = chain.from_iterable(
+            _attempt_blocks(movers, directions, n, p, int(block.sum()))
+        )
+        for count in block.tolist():
+            cfg = _run_trial(y, nu, islice(attempts, count))
+            counts[cfg] = counts.get(cfg, 0) + 1
     return SimulationResult(
         initial_sites=tuple(y),
         initial_species=tuple(nu),
-        p=float(rates.p),
+        p=p,
         time=float(t),
         trials=trials,
         seed=seed,

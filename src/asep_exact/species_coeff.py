@@ -464,7 +464,7 @@ def braid_sweep(n: int, rates: RateParams, points: int, seed: int) -> BraidRepor
     """``check_braid_relations`` at ``points`` random rational points drawn
     from ``seed``, stopping at the first failure.  A counterexample holds
     strings and names its point under "xi"."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     checks = 0
     for _ in range(points):
         xi = rational_points(rng, n, rates)
@@ -491,7 +491,7 @@ def second_class_sweep(max_n: int, rates: RateParams, seed: int) -> SecondClassR
     start slots, every sigma and every destination slot.  Pairs outside
     the proven region are counted, not checked; the sweep stops at the
     first mismatch, whose counterexample holds strings."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     checks = outside = 0
     for n in range(2, max_n + 1):
         pairs = PairTable(rational_points(rng, n, rates), rates)

@@ -362,6 +362,13 @@ BAD_INPUTS = [  # (manifest, what the error must name)
          "window": [-1000, 1000]},
         "3,999,999,000 states",
     ),
+    # seeds key uint64 Philox streams
+    (
+        {"command": "simulate", "p": 0.7, "t": 0.4, "y": [0, 1], "trials": 10,
+         "seed": 2**64},
+        "at seed:",
+    ),
+    ({"command": "verify-braid", "p": "1/2", "seed": 2**64}, "at seed:"),
 ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asep_exact import RateParams, compare, oracle_distribution, simulate
+from asep_exact import mc_simulator
 from asep_exact.mc_simulator import _run_trial
 
 R07 = RateParams.from_p(0.7)
@@ -13,16 +14,36 @@ def test_simulate_deterministic_under_seed():
     a = simulate((0, 1, 2), (2, 1, 2), R07, 0.4, 2000, 424242)
     b = simulate((0, 1, 2), (2, 1, 2), R07, 0.4, 2000, 424242)
     assert a.counts == b.counts
-    # frozen counts for this seed (counter-based streams, order free)
-    assert a.counts[((0, 1, 2), (2, 1, 2))] == 951
-    assert a.counts[((0, 1, 2), (1, 2, 2))] == 306
-    assert a.counts[((0, 1, 3), (2, 1, 2))] == 245
+    # frozen counts for this seed (three Philox streams keyed [seed, 0..2])
+    assert a.counts[((0, 1, 2), (2, 1, 2))] == 964
+    assert a.counts[((0, 1, 2), (1, 2, 2))] == 304
+    assert a.counts[((0, 1, 3), (2, 1, 2))] == 232
 
 
 def test_simulate_different_seeds_differ():
     a = simulate((0, 1), (1, 2), R07, 0.5, 500, 1)
     b = simulate((0, 1), (1, 2), R07, 0.5, 500, 2)
     assert a.counts != b.counts
+
+
+def test_seeds_above_2_63_keep_their_own_streams():
+    # a key built from a list of Python ints goes through float64 above
+    # 2**63, which made 2**64 - 1 the key of seed 0
+    runs = [simulate((0, 1), (1, 2), R07, 0.5, 500, s).counts
+            for s in (0, 2**63 + 1, 2**63 + 2, 2**64 - 1)]
+    assert all(runs[i] != runs[j] for i in range(4) for j in range(i))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "1", None])
+def test_simulate_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        simulate((0, 1), (1, 2), R07, 0.5, 10, seed)
+
+
+@pytest.mark.parametrize("trials", [0, -3, True, 2.0, "10"])
+def test_simulate_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        simulate((0, 1), (1, 2), R07, 0.5, trials, 1)
 
 
 def test_counts_total_and_multiset_conserved():
@@ -34,16 +55,25 @@ def test_counts_total_and_multiset_conserved():
         assert sites == tuple(sorted(sites))
 
 
-def _reference_trial(y, nu, rates, t, rng):
-    """One trial stepped attempt by attempt, with its own draws in the
-    order Poisson count, movers, uniforms."""
-    sites, species = list(y), list(nu)
-    n = len(sites)
-    attempts = int(rng.poisson(n * t))
-    if attempts:
-        movers = rng.integers(0, n, size=attempts)
-        rightward = rng.random(size=attempts) < float(rates.p)
-        for i, right in zip(movers, rightward):
+def _reference_trials(y, nu, rates, t, trials, seed):
+    """Every trial's final configuration, in trial order, from one numpy
+    call per stream: all Poisson counts from Philox(key=[seed, 0]), all
+    movers from [seed, 1] and all direction uniforms from [seed, 2];
+    trial k steps through the next count_k movers and directions."""
+    n = len(y)
+
+    def stream(k):
+        return np.random.Generator(np.random.Philox(key=[seed, k]))
+
+    attempts = stream(0).poisson(n * t, size=trials)
+    total = int(attempts.sum())
+    movers = stream(1).integers(0, n, size=total)
+    rightward = stream(2).random(size=total) < float(rates.p)
+    finals, start = [], 0
+    for count in attempts:
+        sites, species = list(y), list(nu)
+        for i, right in zip(movers[start:start + count], rightward[start:start + count]):
+            i = int(i)
             step = 1 if right else -1
             j = i + step
             if 0 <= j < n and sites[j] == sites[i] + step:
@@ -51,7 +81,16 @@ def _reference_trial(y, nu, rates, t, rng):
                     species[i], species[j] = species[j], species[i]
             else:
                 sites[i] += step
-    return (tuple(sites), tuple(species))
+        start += count
+        finals.append((tuple(sites), tuple(species)))
+    return finals
+
+
+def _histogram(finals):
+    counts = {}
+    for cfg in finals:
+        counts[cfg] = counts.get(cfg, 0) + 1
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -68,32 +107,38 @@ def _reference_trial(y, nu, rates, t, rng):
     ],
 )
 def test_simulate_equals_per_trial_streams(y, nu, p, t, trials):
-    # every trial's draws come from a fresh Philox(key=[seed, trial]),
-    # so the re-keyed sampler must give the same histogram, cell for cell
-    # and in the same first-seen order
+    # the block-drawn sampler must give the histogram of the one-call
+    # reference, cell for cell and in the same first-seen order
     rates = RateParams.from_p(p)
-    counts = _reference_counts(y, nu, rates, t, trials, seed=2024, run_trial_upto=20)
+    finals = _reference_trials(y, nu, rates, t, trials, seed=2024)
     result = simulate(y, nu, rates, t, trials, 2024)
-    assert list(result.counts.items()) == list(counts.items())
+    assert list(result.counts.items()) == list(_histogram(finals).items())
 
 
-def _reference_counts(y, nu, rates, t, trials, seed, run_trial_upto=0):
-    """Histogram of per-trial reference runs in first-seen order; the
-    first run_trial_upto trials are also checked through _run_trial."""
-    counts = {}
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-        cfg = _reference_trial(y, nu, rates, t, rng)
-        counts[cfg] = counts.get(cfg, 0) + 1
-        if trial < run_trial_upto:
-            rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-            assert _run_trial(y, nu, rates, t, rng) == cfg
-    return counts
+def test_first_trials_of_a_run_are_the_shorter_run():
+    y, nu = (0, 1, 2), (2, 1, 2)
+    finals = _reference_trials(y, nu, R07, 0.5, 1061, seed=31)
+    for trials in (1, 300, 1061):
+        result = simulate(y, nu, R07, 0.5, trials, 31)
+        assert list(result.counts.items()) == list(_histogram(finals[:trials]).items())
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize(
+    "y, nu, t, trials",
+    [((0, 1, 2), (2, 1, 2), 0.5, 1061), ((0, 1, 2, 3), (2, 1, 2, 1), 500.0, 5)],
+)
+def test_block_size_changes_no_output(y, nu, t, trials, block, monkeypatch):
+    expected = simulate(y, nu, R07, t, trials, 2024)
+    monkeypatch.setattr(mc_simulator, "_BLOCK", block)
+    result = simulate(y, nu, R07, t, trials, 2024)
+    assert list(result.counts.items()) == list(expected.counts.items())
 
 
 def test_run_trial_zero_time_is_identity():
-    rng = np.random.Generator(np.random.Philox(key=[0, 0]))
-    assert _run_trial((0, 1), (1, 2), R07, 0.0, rng) == ((0, 1), (1, 2))
+    assert _run_trial((0, 1), (1, 2), ()) == ((0, 1), (1, 2))
+    result = simulate((0, 1), (1, 2), R07, 0.0, 50, 3)
+    assert result.counts == {((0, 1), (1, 2)): 50}
 
 
 def test_compare_against_oracle_passes():
