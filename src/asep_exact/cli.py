@@ -1,11 +1,12 @@
 """Command-line surface: evaluation, verification suites, oracles, and
 machine-readable reports.
 
-Exit codes: 0 success (and all verifications passing), 1 malformed input
-or usage error, 2 verification failure.  Human-readable summaries go to
-stdout; machine artifacts are written only via --out (JSON report) and
---csv (tabular rows).  Reports embed the formula identifier, quadrature
-settings, seeds, and tolerances needed to re-run them bit for bit.
+Exit codes: 0 success (and all verifications passing), 1 malformed input,
+unwritable output or usage error, 2 verification failure.  Human-readable
+summaries go to stdout; machine artifacts are written only via --out (JSON
+report) and --csv (tabular rows).  Reports embed the formula identifier,
+quadrature settings, seeds, and tolerances needed to re-run them bit for
+bit.
 
 Commands can be driven by flags or by a JSON manifest (the ``run``
 command), and ``prob``/``oracle``/``compare`` accept a problem file in
@@ -25,6 +26,7 @@ schema is generated from that dataclass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import re
@@ -465,34 +467,37 @@ def _problem_from(args):
     return _parse_rate(doc["p"]), float(doc["t"]), y, nu, targets, window, spec
 
 
+def _fields(obj) -> dict:
+    """JSON object of a report dataclass, for ``json.dump(default=...)``:
+    every field, except an optional one left at None."""
+    return {
+        f.name: v
+        for f in fields(obj)
+        if (v := getattr(obj, f.name)) is not None or f.default is not None
+    }
+
+
 def _json(value):
-    """JSON data of a report or input: dataclasses become objects without
-    their unset optional fields, tuples become arrays."""
-    if isinstance(value, (tuple, list)):
-        return [_json(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json(v) for k, v in value.items()}
-    if is_dataclass(value):
-        return {
-            f.name: _json(v)
-            for f in fields(value)
-            if (v := getattr(value, f.name)) is not None or f.default is not None
-        }
-    return value
+    """JSON data of a report or input, as ``--out`` writes it."""
+    return json.loads(json.dumps(value, default=_fields))
 
 
-def _write_report(args, report):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(_json(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+@contextlib.contextmanager
+def _created(path, what, newline=None):
+    """``path`` opened for writing; failing to write it is a usage error,
+    as failing to read an input is."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def _write_csv(path, row_type, rows, omit=()):
     """One line per row, columns in field order except those in ``omit``.
     Tuples are written space-separated."""
     names = [f.name for f in fields(row_type) if f.name not in omit]
-    with open(path, "w", newline="") as fh:
+    with _created(path, "CSV", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in rows:
@@ -506,7 +511,21 @@ def _radius_text(radius: float | None) -> str:
     return "none" if radius is None else f"{radius:.6f}"
 
 
-def cmd_prob(args) -> int:
+def _verdict(args, passed, detail, counterexample=None):
+    """A verification's summary line, and its first counterexample if any."""
+    print(f"{args.command}: {'PASS' if passed else 'FAIL'}  {detail}")
+    if counterexample:
+        print(f"  first counterexample: {counterexample}")
+
+
+def _exact_rate(args, example) -> RateParams:
+    rates = _parse_rate(args.p)
+    if not rates.exact:
+        raise UsageError(f"{args.command} needs an exact rational p, e.g. --p {example}")
+    return rates
+
+
+def cmd_prob(args) -> ProbReport:
     rates, t, y, nu, targets, window, spec = _problem_from(args)
     if targets is None:
         dist = distribution_over_window(
@@ -542,10 +561,6 @@ def cmd_prob(args) -> int:
         total_value=sum(r.value for r in rows),
         max_imag=max((abs(r.imag) for r in rows), default=0.0),
     )
-    _write_report(args, report)
-    if args.csv:
-        omit = () if args.with_oracle else ("oracle",)
-        _write_csv(args.csv, TargetRow, rows, omit)
     print(
         f"prob: {len(rows)} target(s), total {report.total_value:.12f}, "
         f"max |imag| {report.max_imag:.3e}, nodes {quadrature.nodes}, radius "
@@ -557,16 +572,25 @@ def cmd_prob(args) -> int:
         print(f"  X={row.sites} pi={row.species}  P={row.value:.12e}{extra}")
     if len(rows) > args.print_limit:
         print(f"  ... {len(rows) - args.print_limit} more (see --out/--csv)")
-    return EXIT_OK
+    if args.csv:
+        _write_csv(args.csv, TargetRow, rows, () if args.with_oracle else ("oracle",))
+    return report
 
 
-def cmd_verify_delta(args) -> int:
+def cmd_verify_delta(args) -> VerifyDeltaReport:
     rates = _parse_rate(args.p)
     y = args.y
     nu = args.nu or (1,) * len(y)
     spec = _spec_from(args, len(y))
     rep = delta_recovery(y, nu, rates, margin=args.margin, tol=args.quad_tol, spec=spec)
-    report = VerifyDeltaReport(
+    _verdict(
+        args,
+        rep.passed,
+        f"max residual {rep.max_residual:.3e} (tol {args.quad_tol:g}) at "
+        f"{rep.quadrature.nodes} nodes, radius {_radius_text(rep.quadrature.radius)}, "
+        f"mirror_radius {_radius_text(rep.quadrature.mirror_radius)}",
+    )
+    return VerifyDeltaReport(
         p=float(rates.p),
         initial=Initial(y, nu),
         margin=args.margin,
@@ -575,23 +599,19 @@ def cmd_verify_delta(args) -> int:
         max_residual=rep.max_residual,
         passed=rep.passed,
     )
-    _write_report(args, report)
-    status = "PASS" if rep.passed else "FAIL"
-    print(
-        f"verify-delta: {status}  max residual {rep.max_residual:.3e} "
-        f"(tol {args.quad_tol:g}) at {rep.quadrature.nodes} nodes, radius "
-        f"{_radius_text(rep.quadrature.radius)}, mirror_radius "
-        f"{_radius_text(rep.quadrature.mirror_radius)}"
-    )
-    return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def cmd_verify_braid(args) -> int:
-    rates = _parse_rate(args.p)
-    if not rates.exact:
-        raise UsageError("verify-braid needs an exact rational p, e.g. --p 1/3")
+def cmd_verify_braid(args) -> VerifyBraidReport:
+    rates = _exact_rate(args, "1/3")
     sweep = braid_sweep(args.n, rates, args.points, args.seed)
-    report = VerifyBraidReport(
+    _verdict(
+        args,
+        sweep.passed,
+        f"n={args.n} p={rates.p} {args.points} random rational points, "
+        f"{sweep.checks} exact identities",
+        sweep.counterexample,
+    )
+    return VerifyBraidReport(
         n=args.n,
         p=str(rates.p),
         points=args.points,
@@ -600,18 +620,9 @@ def cmd_verify_braid(args) -> int:
         passed=sweep.passed,
         counterexample=sweep.counterexample,
     )
-    _write_report(args, report)
-    status = "PASS" if report.passed else "FAIL"
-    print(
-        f"verify-braid: {status}  n={args.n} p={rates.p} "
-        f"{args.points} random rational points, {sweep.checks} exact identities"
-    )
-    if sweep.counterexample:
-        print(f"  first counterexample: {sweep.counterexample}")
-    return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_verify_b_classes(args) -> int:
+def cmd_verify_b_classes(args) -> VerifyBClassesReport:
     rates = _parse_rate(args.p)
     y, x = args.y, args.x
     n = len(y)
@@ -634,7 +645,17 @@ def cmd_verify_b_classes(args) -> int:
                 member_sums=(class_sum,) if len(members) == 1 else None,
             )
         )
-    report = VerifyBClassesReport(
+    passed = not any(
+        v > args.tol for row in classes for v in (row.class_sum, *(row.member_sums or ()))
+    )
+    _verdict(args, passed, f"n={n} p={float(rates.p)} tol {args.tol:g}")
+    for row in classes:
+        tag = " (each member vanishes)" if row.member_sums is not None else ""
+        print(
+            f"  B={set(row.entries)}: |class sum| = {row.class_sum:.3e}"
+            f" over {len(row.members)} permutation(s){tag}"
+        )
+    return VerifyBClassesReport(
         n=n,
         p=float(rates.p),
         tolerance=args.tol,
@@ -642,30 +663,21 @@ def cmd_verify_b_classes(args) -> int:
         target=x,
         quadrature=evaluation.quadrature,
         classes=tuple(classes),
-        passed=not any(
-            v > args.tol
-            for row in classes
-            for v in (row.class_sum, *(row.member_sums or ()))
-        ),
+        passed=passed,
     )
-    _write_report(args, report)
-    status = "PASS" if report.passed else "FAIL"
-    print(f"verify-b-classes: {status}  n={n} p={float(rates.p)} tol {args.tol:g}")
-    for row in classes:
-        tag = " (each member vanishes)" if row.member_sums is not None else ""
-        print(
-            f"  B={set(row.entries)}: |class sum| = {row.class_sum:.3e}"
-            f" over {len(row.members)} permutation(s){tag}"
-        )
-    return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_verify_second_class(args) -> int:
-    rates = _parse_rate(args.p)
-    if not rates.exact:
-        raise UsageError("verify-second-class needs an exact rational p, e.g. --p 2/5")
+def cmd_verify_second_class(args) -> VerifySecondClassReport:
+    rates = _exact_rate(args, "2/5")
     sweep = second_class_sweep(args.max_n, rates, args.seed)
-    report = VerifySecondClassReport(
+    _verdict(
+        args,
+        sweep.passed,
+        f"n up to {args.max_n}, p={rates.p}: {sweep.checks} exact identities, "
+        f"{sweep.outside_validity} outside the validity region",
+        sweep.counterexample,
+    )
+    return VerifySecondClassReport(
         max_n=args.max_n,
         p=str(rates.p),
         checks=sweep.checks,
@@ -673,33 +685,21 @@ def cmd_verify_second_class(args) -> int:
         passed=sweep.passed,
         counterexample=sweep.counterexample,
     )
-    _write_report(args, report)
-    status = "PASS" if report.passed else "FAIL"
-    print(
-        f"verify-second-class: {status}  n up to {args.max_n}, p={rates.p}: "
-        f"{sweep.checks} exact identities, {sweep.outside_validity} outside the "
-        "validity region"
-    )
-    if sweep.counterexample:
-        print(f"  first counterexample: {sweep.counterexample}")
-    return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> OracleReport:
     rates, t, y, nu, targets, window, _ = _problem_from(args)
     # the engine checks prob's targets; the oracle only looks its own up
     check_problem(y, nu, t, targets or ())
     dist, used_window, leak = oracle_distribution(
         y, nu, rates, t, leak_tol=args.leak_tol, window=window
     )
-    wanted = targets
-    if wanted is None:
+    if targets is None:
         # the oracle's states come in sorted order
-        wanted = [cfg for cfg, pr in dist.items() if pr >= args.mass_floor]
-    rows = tuple(
-        TargetRow(sites=x, species=pi, value=dist.get((x, pi), 0.0), imag=0.0)
-        for x, pi in wanted
-    )
+        picked = ((cfg, pr) for cfg, pr in dist.items() if pr >= args.mass_floor)
+    else:
+        picked = ((cfg, dist.get(cfg, 0.0)) for cfg in targets)
+    rows = tuple(TargetRow(*cfg, value=pr, imag=0.0) for cfg, pr in picked)
     report = OracleReport(
         p=float(rates.p),
         t=t,
@@ -709,17 +709,16 @@ def cmd_oracle(args) -> int:
         targets=rows,
         total_value=sum(r.value for r in rows),
     )
-    _write_report(args, report)
-    if args.csv:
-        _write_csv(args.csv, TargetRow, rows, omit=("oracle",))
     print(
         f"oracle: {len(rows)} target(s), total {report.total_value:.12f}, "
         f"window {used_window}, leakage bound {leak:.3e}"
     )
-    return EXIT_OK
+    if args.csv:
+        _write_csv(args.csv, TargetRow, rows, omit=("oracle",))
+    return report
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> SimulateReport:
     rates = _parse_rate(args.p)
     y = args.y
     nu = args.nu or (1,) * len(y)
@@ -730,7 +729,13 @@ def cmd_simulate(args) -> int:
         )
         for (sites, species), count in sorted(result.counts.items())
     )
-    report = SimulateReport(
+    print(
+        f"simulate: {result.trials} trials, seed {result.seed}, "
+        f"{len(cells)} distinct final configurations"
+    )
+    if args.csv:
+        _write_csv(args.csv, HistogramCell, cells)
+    return SimulateReport(
         p=float(rates.p),
         t=args.t,
         initial=Initial(y, nu),
@@ -738,17 +743,9 @@ def cmd_simulate(args) -> int:
         seed=result.seed,
         cells=cells,
     )
-    _write_report(args, report)
-    if args.csv:
-        _write_csv(args.csv, HistogramCell, cells)
-    print(
-        f"simulate: {result.trials} trials, seed {result.seed}, "
-        f"{len(cells)} distinct final configurations"
-    )
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> CompareReport:
     rates, t, y, nu, _, window, spec = _problem_from(args)
     if args.reference == "oracle":
         reference, _, _ = oracle_distribution(
@@ -765,7 +762,13 @@ def cmd_compare(args) -> int:
         z_threshold=args.z_threshold,
         min_expected=args.min_expected,
     )
-    report = CompareReport(
+    _verdict(
+        args,
+        rep.passed,
+        f"{len(rep.checked)} cells checked against the {args.reference}, max |z| = "
+        f"{rep.max_abs_z:.2f} (threshold {rep.z_threshold:g}), {len(rep.flagged)} flagged",
+    )
+    return CompareReport(
         reference=args.reference,
         p=float(rates.p),
         t=t,
@@ -779,17 +782,9 @@ def cmd_compare(args) -> int:
         flagged=rep.flagged,
         passed=rep.passed,
     )
-    _write_report(args, report)
-    status = "PASS" if rep.passed else "FAIL"
-    print(
-        f"compare: {status}  {len(rep.checked)} cells checked against the "
-        f"{args.reference}, max |z| = {rep.max_abs_z:.2f} "
-        f"(threshold {rep.z_threshold:g}), {len(rep.flagged)} flagged"
-    )
-    return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def cmd_schema(args) -> int:
+def cmd_schema(args) -> None:
     doc = {
         "manifest": MANIFEST_SCHEMA,
         "problem": PROBLEM_SCHEMA,
@@ -797,7 +792,6 @@ def cmd_schema(args) -> int:
         "csv": CSV_SCHEMAS,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
 def _manifest_argv(manifest) -> list[str]:
@@ -814,10 +808,6 @@ def _manifest_argv(manifest) -> list[str]:
         elif value is not None:
             argv.extend([_flag(key), str(value)])
     return argv
-
-
-def cmd_run(args) -> int:
-    return main(_manifest_argv(_load_json(args.manifest, MANIFEST_SCHEMA, "manifest")))
 
 
 # Each command's help, handler, and the INPUTS it takes with their
@@ -912,9 +902,7 @@ def build_parser() -> _Parser:
                 )
         cmd.set_defaults(handler=handler)
 
-    run = sub.add_parser("run", help="execute a JSON run manifest")
-    run.add_argument("manifest")
-    run.set_defaults(handler=cmd_run)
+    sub.add_parser("run", help="execute a JSON run manifest").add_argument("manifest")
 
     schema = sub.add_parser("schema", help="print all JSON/CSV schemas")
     schema.set_defaults(handler=cmd_schema)
@@ -923,20 +911,27 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its handler prints a summary and returns its report,
+    which is written here to --out; a report that did not pass exits 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "run":
+            manifest = _load_json(args.manifest, MANIFEST_SCHEMA, "manifest")
+            args = parser.parse_args(_manifest_argv(manifest))
         if args.command in COMMANDS:
             # flags obey the bounds a run manifest does
             flags = {k: v for k, v in vars(args).items() if k != "handler" and v is not None}
             _validate(_json(flags), MANIFEST_SCHEMA, "flags")
-        return args.handler(args)
-    except UsageError as exc:
+        report = args.handler(args)
+        if getattr(args, "out", None):
+            with _created(args.out, "report") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True, default=_fields)
+                fh.write("\n")
+    except (UsageError, ValueError, BethePoleError) as exc:
         print(f"asep-exact: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, BethePoleError) as exc:
-        print(f"asep-exact: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_OK if getattr(report, "passed", True) else EXIT_FAIL
 
 
 if __name__ == "__main__":

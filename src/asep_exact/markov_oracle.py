@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .bethe_algebra import RateParams
 from .permutations import species_orbit
@@ -71,6 +72,18 @@ def check_problem(y, nu, t: float, targets=()) -> None:
         if len(sites) != len(y):
             raise ValueError("target size differs from initial size")
         check_config(tuple(sites), tuple(species))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; it keys uint64 Philox streams, so it must be an
+    integer in [0, 2**64)."""
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def single_step_moves(config: Config, rates: RateParams) -> dict[Config, float]:
@@ -289,10 +302,10 @@ def single_particle_series(displacement: int, rates: RateParams, t: float) -> fl
 
 
 def poisson_tail(t: float, delta: int) -> float:
-    """P(Poisson(t) >= delta)."""
+    """P(Poisson(t) >= delta), by the function scipy.stats.poisson.sf calls."""
     if delta <= 0:
         return 1.0
-    return float(poisson.sf(delta - 1, t))
+    return float(pdtrc(delta - 1, t))
 
 
 def leakage_bound(n: int, t: float, delta: int) -> float:

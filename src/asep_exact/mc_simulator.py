@@ -25,16 +25,16 @@ is counted in the order of first occurrence.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
 from .bethe_algebra import RateParams
-from .markov_oracle import Config, check_problem
+from .markov_oracle import Config, _is_int, check_problem, check_seed
 
 _BLOCK = 1 << 14  # values per numpy call on each stream; changes no output
+STRAY_MASS_TOL = 1e-4  # observed mass a reference may lack before compare refuses it
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,6 @@ def _run_trial(y: tuple[int, ...], nu: tuple[int, ...], attempts) -> Config:
     return (tuple(sites), tuple(species))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def simulate(
     y: tuple[int, ...],
     nu: tuple[int, ...],
@@ -118,9 +114,7 @@ def simulate(
     check_problem(y, nu, t)
     if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    trials, seed = int(trials), int(seed)
+    trials, seed = int(trials), check_seed(seed)
     # a uint64 key: a list of Python ints above 2**63 would pass through float64
     count_stream, movers, directions = (
         np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
@@ -154,18 +148,17 @@ def compare(
     reference: dict[Config, float],
     z_threshold: float = 4.0,
     min_expected: float = 25.0,
-    stray_mass_tol: float = 1e-4,
 ) -> ComparisonReport:
     """Binomial z-scores of the empirical counts against reference
     probabilities, checking every cell whose expected count reaches
     min_expected.  An observed cell missing from the reference with
-    empirical mass above stray_mass_tol means the reference does not
+    empirical mass above STRAY_MASS_TOL means the reference does not
     cover the support and is an error, not a flag."""
     n = result.trials
     stray = {
         cfg: c
         for cfg, c in result.counts.items()
-        if cfg not in reference and c / n > stray_mass_tol
+        if cfg not in reference and c / n > STRAY_MASS_TOL
     }
     if stray:
         worst = max(stray.items(), key=lambda kv: kv[1])

@@ -52,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bethe_algebra import RateParams, f_factor, s_factor
+from .markov_oracle import check_seed
 from .permutations import (
     Permutation,
     Word,
@@ -387,12 +388,11 @@ def _default_labelings(n: int) -> list[SpeciesMap]:
     return [two, mixed, three]
 
 
-def check_braid_relations(
-    n: int, xi, rates: RateParams, labelings: list[SpeciesMap] | None = None
-) -> BraidReport:
+def check_braid_relations(n: int, xi, rates: RateParams) -> BraidReport:
     """Exhaustively check, above every sigma and every point-mass table on
-    the given labelings' rearrangements, that the exchange operators square
-    to the identity, commute at distance, and satisfy the braid relation.
+    the rearrangements of (1, 2, ..., 2), (2, 1, 2, ..., 2) and
+    (1, 2, 3, ..., 3), that the exchange operators square to the identity,
+    commute at distance, and satisfy the braid relation.
 
     Exact equality: the first violated pair is returned as a
     counterexample.  The walk runs on the integers of
@@ -401,8 +401,6 @@ def check_braid_relations(
     are not rational raise ValueError: ``==`` on floats would report
     roundoff as a broken relation.
     """
-    if labelings is None:
-        labelings = _default_labelings(n)
     walk = PairTable.of(xi, rates).over_common_denominator()
     if walk is None:
         raise ValueError(
@@ -417,7 +415,7 @@ def check_braid_relations(
         if i + 1 < n:
             relations.append(((i, i + 1, i), (i + 1, i, i + 1)))
     checks = 0
-    for nu in labelings:
+    for nu in _default_labelings(n):
         for pi in species_orbit(nu):
             for sigma in all_permutations(n):
                 base = {pi: 1}
@@ -445,10 +443,11 @@ def check_braid_relations(
 # --- exact sweeps at random rational points --------------------------------
 
 
-def rational_points(rng: np.random.Generator, n: int, rates: RateParams, tries: int = 200):
+def rational_points(rng: np.random.Generator, n: int, rates: RateParams):
     """n distinct rationals with small numerators and denominators, drawn
-    again until no ordered pair sits on a scattering pole."""
-    for _ in range(tries):
+    again, up to 200 times, until no ordered pair sits on a scattering
+    pole."""
+    for _ in range(200):
         xi = tuple(
             Fraction(int(rng.integers(1, 40)), int(rng.integers(41, 120)))
             for _ in range(n)
@@ -464,6 +463,7 @@ def braid_sweep(n: int, rates: RateParams, points: int, seed: int) -> BraidRepor
     """``check_braid_relations`` at ``points`` random rational points drawn
     from ``seed``, stopping at the first failure.  A counterexample holds
     strings and names its point under "xi"."""
+    seed = check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     checks = 0
     for _ in range(points):
@@ -491,6 +491,7 @@ def second_class_sweep(max_n: int, rates: RateParams, seed: int) -> SecondClassR
     start slots, every sigma and every destination slot.  Pairs outside
     the proven region are counted, not checked; the sweep stops at the
     first mismatch, whose counterexample holds strings."""
+    seed = check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     checks = outside = 0
     for n in range(2, max_n + 1):

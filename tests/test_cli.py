@@ -3,6 +3,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -430,3 +434,59 @@ def test_report_carries_the_library_quadrature(argv, library, tmp_path):
         assert record.radius is not None and record.mirror_radius is not None
     if argv[0] == "verify-delta":
         assert record.nodes == 16
+
+
+def test_report_text_is_pinned(tmp_path, capsys):
+    # no float and no random draw enters this report: keys sorted, indent
+    # 2, trailing newline, nothing else
+    out = tmp_path / "sc.json"
+    argv = ["verify-second-class", "--p", "2/5", "--max-n", "3", "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_text() == (
+        "{\n"
+        '  "checks": 36,\n'
+        '  "command": "verify-second-class",\n'
+        '  "formula": "second-class-closed-forms",\n'
+        '  "max_n": 3,\n'
+        '  "outside_validity": 8,\n'
+        '  "p": "2/5",\n'
+        '  "passed": true\n'
+        "}\n"
+    )
+
+
+def test_unset_optional_fields_are_left_out(tmp_path):
+    out = tmp_path / "prob.json"
+    argv = ["prob", "--p", "0.5", "--t", "0.3", "--y", "0,1", "--nu", "1,2", "--x", "-3,-2"]
+    assert run(argv + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, cli.REPORT_SCHEMAS["prob"])
+    # targets given, so no window and no leakage bound
+    assert "window" not in report and "leakage" not in report
+    # no oracle column asked for
+    assert all("oracle" not in row for row in report["targets"])
+    # a required nullable field is written as null: no target lies in the
+    # direct half
+    assert report["quadrature"]["radius"] is None
+    assert report["quadrature"]["mirror_radius"] > 0
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_path_exits_one(flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "r.out"
+    argv = ["simulate", "--p", "0.7", "--t", "0.4", "--y", "0,1", "--trials", "10",
+            "--seed", "1", flag, str(path)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "asep-exact: error: cannot write " in captured.err
+    assert str(path) in captured.err
+    # the summary is printed before the write fails
+    assert "simulate: 10 trials" in captured.out
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, asep_exact.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, check=True)
+    assert proc.stdout.strip() == "False"

@@ -22,6 +22,7 @@ from asep_exact import (
 from asep_exact.markov_oracle import (
     check_config,
     leakage_bound,
+    poisson_tail,
     single_step_moves,
 )
 
@@ -252,3 +253,13 @@ def test_negative_time_names_t():
     # a single summand goes through the same engine entry point
     with pytest.raises(ValueError, match="nonnegative"):
         sigma_summand((0, 1), (0, 1), (2, 1), R07, -0.5)
+
+
+def test_poisson_tail_is_scipy_stats_survival_function():
+    # scipy.special.pdtrc is what poisson.sf calls; the library imports it
+    # alone to keep scipy.stats out of every process
+    from scipy.stats import poisson
+
+    for t in np.logspace(-6, 2, 41):
+        for delta in range(1, 400, 7):
+            assert poisson_tail(float(t), delta) == float(poisson.sf(delta - 1, float(t)))

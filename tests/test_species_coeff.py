@@ -248,3 +248,18 @@ def test_scaled_walk_matches_fraction_tables():
 def test_float_points_have_no_common_denominator():
     assert PairTable((0.25, 0.5), RateParams.from_p(0.4)).over_common_denominator() is None
     assert PairTable(XI5[:2], RateParams.from_p(0.4)).over_common_denominator() is None
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda seed: species_coeff.braid_sweep(3, RATES, 1, seed),
+        lambda seed: species_coeff.second_class_sweep(3, RATES, seed),
+    ],
+    ids=["braid_sweep", "second_class_sweep"],
+)
+def test_sweeps_reject_bad_seed(sweep, seed):
+    # the same check simulate makes, before any stream is keyed
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        sweep(seed)
