@@ -59,6 +59,9 @@ for nodes in (8, 16, 32, 64):
     print(f"  {nodes:4d} nodes: worst |formula - generator| = {worst:.1e}")
 
 print("\n== one more invariant: the imaginary parts cancel ==")
+# node K - k is the conjugate of node k and the integrand has real
+# coefficients, so slab K - k is filled as the conjugate of slab k; what
+# is left is the rounding of the last transform along the slab axis
 report = distribution_over_window(y, nu, rates, t)
 print(f"  {len(report.values)} targets over the automatic window "
       f"{report.window}, nodes {report.quadrature.nodes}")

@@ -37,9 +37,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Literal
 
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
-
 from . import __version__
 from .bethe_algebra import BethePoleError, RateParams
 from .contour_quadrature import DEFAULT_NODES, MAX_NODES, ContourSpec, Quadrature
@@ -399,7 +396,11 @@ def _flag_type(schema):
 
 
 def _validate(doc, schema, what):
-    # the schemas are checked against their metaschema once, by the tests
+    # the schemas are checked against their metaschema once, by the tests;
+    # jsonschema is imported here, so importing this module does not load it
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
     exc = best_match(Draft202012Validator(schema).iter_errors(doc))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "(root)"

@@ -154,12 +154,17 @@ def assert_admissible(radius: float, rates: RateParams) -> None:
 
 def node_points(radius: float, nodes: int) -> np.ndarray:
     """The K quadrature nodes radius * exp(2 pi i k / K), extended
-    precision."""
-    k = np.arange(nodes, dtype=np.longdouble)
-    theta = 2 * LONG_PI * k / np.longdouble(nodes)
-    return np.asarray(radius, dtype=np.longdouble) * (
-        np.cos(theta) + 1j * np.sin(theta)
-    )
+    precision.  K is even; nodes k <= K/2 are computed, node K/2 is exactly
+    -radius, and the rest are their conjugates, so node K - k is conj(node
+    k) bit for bit."""
+    if nodes < 2 or nodes % 2:
+        raise ValueError(f"node count must be even and positive, got {nodes}")
+    half = nodes // 2
+    theta = 2 * LONG_PI * np.arange(half + 1, dtype=np.longdouble) / np.longdouble(nodes)
+    upper = np.cos(theta) + 1j * np.sin(theta)
+    upper[half] = -1
+    unit = np.concatenate([upper, upper[half - 1:0:-1].conj()])
+    return np.asarray(radius, dtype=np.longdouble) * unit
 
 
 def axis_view(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:

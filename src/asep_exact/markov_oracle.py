@@ -20,8 +20,8 @@ Each state gets an int64 key that increases in state order (sites read
 as a base-W number, W the window width, then the orbit index), every
 (particle, direction) move is found for all states at once by shifts and
 masks, and np.searchsorted maps the destination keys back to rows.  The
-matrix is bit for bit the one the per-state moves of ``single_step_moves``
-give.
+matrix is bit for bit the one assembled state by state from each state's
+one-jump moves.
 
 Everything here is deliberately independent of the contour-integral
 machinery: plain state enumeration, scipy sparse matrices, Poisson tails.
@@ -86,38 +86,6 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def single_step_moves(config: Config, rates: RateParams) -> dict[Config, float]:
-    """All one-jump successors with their rates (rates merged when a swap
-    is reachable from both sides of the pair)."""
-    sites, species = config
-    check_config(sites, species)
-    n = len(sites)
-    occupied = {x: i for i, x in enumerate(sites)}
-    out: dict[Config, float] = {}
-
-    def add(new_sites, new_species, rate):
-        key = (tuple(new_sites), tuple(new_species))
-        out[key] = out.get(key, 0.0) + rate
-
-    p, q = float(rates.p), float(rates.q)
-    for i, x in enumerate(sites):
-        for step, rate in ((1, p), (-1, q)):
-            if rate == 0:
-                continue
-            target = x + step
-            if target not in occupied:
-                new_sites = list(sites)
-                new_sites[i] = target
-                add(sorted(new_sites), species, rate)
-            else:
-                j = occupied[target]
-                if species[i] > species[j]:
-                    new_species = list(species)
-                    new_species[i], new_species[j] = new_species[j], new_species[i]
-                    add(sites, new_species, rate)
-    return out
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """All placements of the species multiset inside a site window, in
@@ -177,8 +145,9 @@ def build_generator(space: StateSpace, rates: RateParams) -> sparse.csr_matrix:
     once: an empty target site is a hop (censored outside the window), an
     occupied one a swap when the mover's species is larger.  A hop shifts
     the state key by a fixed amount, a swap replaces its orbit index from
-    a table.  The diagonal adds the rates in the same particle-then-
-    direction order as single_step_moves, so Q is the same bit for bit.
+    a table.  The diagonal adds the rates particle by particle, right
+    then left, so Q is bit for bit the one assembled state by state with
+    the moves summed in that order.
     """
     lo, hi = space.window
     orbit = space.orbit

@@ -28,6 +28,18 @@ and a last transform along the slab index finishes each axis-j spectrum.
 All node arithmetic and every transform run in extended precision
 (clongdouble): the spectra cancel many orders below their terms.
 
+The integrand has real coefficients: the pair amplitudes, the species
+factors built from 1 + S, p and q, and the kernels xi^(-y) e^(eps(xi) t)
+all satisfy G(conj xi) = conj G(xi), and the node table is exactly
+conjugate symmetric (node K - k is conj(node k), node K/2 is -r).  So slab
+K - k's plane is slab k's conjugated with every plane index negated, and
+its transform at each kept mode is the conjugate of slab k's.  Only the
+slabs k = 0 .. K/2 are walked; the rest are filled by conjugation before
+the transform along the slab index.  This holds on both halves, for any
+real p (q = 0 included), and for partial permutation sums.  Each target's
+value is therefore real up to the rounding of that last transform, and
+its reported imaginary part measures only that rounding.
+
 Every scattering factor a half needs is an entry of one K x K matrix
 S[k, l] = s_factor(z_k, z_l) on the node circle, evaluated (and checked
 against the pole guard) once.  The factors with the first variable are
@@ -398,7 +410,8 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
     # is faulted in again by the next one.
     work = np.empty((nodes,) * n_rest, dtype=np.clongdouble)
     slab_spectra = {}
-    for k in range(nodes):
+    half = nodes // 2
+    for k in range(half + 1):
         # first-variable pair factors of the entries left of the 1, and
         # the first variable's own kernel
         weights = [kernels[0][k]]
@@ -431,10 +444,12 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
                         )
                     slab_spectra[(j, pi)][k] = plane[plane_modes[j]]
 
+    # slab K - k's spectrum is the conjugate of slab k's (module docstring);
     # the last transform runs along the slab index, i.e. along axis j
     values = np.zeros(len(targets), dtype=np.clongdouble)
     rows_of = {pi: np.flatnonzero([p == pi for p in pis]) for pi in needed_pis}
     for (j, pi), spectra in slab_spectra.items():
+        spectra[half + 1:] = spectra[half - 1:0:-1].conj()
         spectrum = scipy.fft.ifft(spectra, axis=0, norm="forward")
         rows = rows_of[pi]
         values[rows] += spectrum[modes[rows, j], plane_slot[j][rows]]

@@ -490,3 +490,12 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_jsonschema_out(tmp_path):
+    # jsonschema is loaded by the first validation, not by the import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, asep_exact.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, check=True)
+    assert proc.stdout.strip() == "False"

@@ -28,6 +28,23 @@ def test_node_points_on_circle():
     assert np.allclose(np.conj(z[1:]), z[:0:-1], rtol=0, atol=1e-18)
 
 
+@pytest.mark.parametrize("nodes", [8, 16, 64, 1024])
+def test_node_points_are_exactly_conjugate_symmetric(nodes):
+    # the engine fills slab K - k from slab k, which needs node K - k to be
+    # conj(node k) bit for bit
+    radius = np.longdouble(0.3)
+    z = node_points(radius, nodes)
+    assert np.array_equal(z[1:], np.conj(z[:0:-1]))
+    assert z[0] == radius and z[0].imag == 0
+    assert z[nodes // 2] == -radius and z[nodes // 2].imag == 0
+
+
+@pytest.mark.parametrize("nodes", [0, 7])
+def test_node_points_rejects_odd_counts(nodes):
+    with pytest.raises(ValueError, match="even"):
+        node_points(0.3, nodes)
+
+
 def test_admissible_bound_values():
     # q = 0: every denominator is p - u, zero-free for |u| < p
     assert admissible_radius_bound(RateParams.from_p(1.0)) == pytest.approx(1.0)
@@ -156,6 +173,19 @@ def test_engine_summands_match_a_direct_node_grid_sum(y, x, t):
         # is about 1.2e-6
         value = sigma_summand(y, x, (3, 1, 2), rates, t)
         assert value.real == pytest.approx(9.992412e-3, rel=1e-6)
+
+
+def test_sigma_summand_at_an_explicit_radius_matches_a_direct_node_grid_sum():
+    # a partial sum at a caller's radius and node count: the engine walks
+    # half the slabs and conjugates the rest, the direct sum visits every
+    # node
+    y, x, sigma, t = (0, 1, 2), (1, 2, 4), (2, 3, 1), 0.4
+    rates = RateParams.from_p(0.5)
+    radius, nodes = 0.3, 16
+    spec = ContourSpec(nodes=nodes, radius=radius, dimension=3)
+    value = sigma_summand(y, x, sigma, rates, t, spec)
+    expect = node_grid_mean(_direct_summand(y, x, sigma, rates, t), radius, nodes, 3)
+    assert abs(value - expect) <= 1e-15 * abs(expect)
 
 
 def test_axis_view_broadcasting():

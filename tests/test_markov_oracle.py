@@ -23,11 +23,42 @@ from asep_exact.markov_oracle import (
     check_config,
     leakage_bound,
     poisson_tail,
-    single_step_moves,
 )
 
 R07 = RateParams.from_p(0.7)
 R05 = RateParams.from_p(0.5)
+
+
+def single_step_moves(config, rates):
+    """All one-jump successors of one state with their rates (rates merged
+    when a swap is reachable from both sides of the pair): the per-state
+    reference for ``build_generator``."""
+    sites, species = config
+    check_config(sites, species)
+    occupied = {x: i for i, x in enumerate(sites)}
+    out = {}
+
+    def add(new_sites, new_species, rate):
+        key = (tuple(new_sites), tuple(new_species))
+        out[key] = out.get(key, 0.0) + rate
+
+    p, q = float(rates.p), float(rates.q)
+    for i, x in enumerate(sites):
+        for step, rate in ((1, p), (-1, q)):
+            if rate == 0:
+                continue
+            target = x + step
+            if target not in occupied:
+                new_sites = list(sites)
+                new_sites[i] = target
+                add(sorted(new_sites), species, rate)
+            else:
+                j = occupied[target]
+                if species[i] > species[j]:
+                    new_species = list(species)
+                    new_species[i], new_species[j] = new_species[j], new_species[i]
+                    add(sites, new_species, rate)
+    return out
 
 
 def test_check_config_rejects_bad_input():

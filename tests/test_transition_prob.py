@@ -372,13 +372,16 @@ def test_slab_pair_table_matches_points_bitwise(nu, monkeypatch):
         for pi, value in table.items():
             assert _same_bits(got[sigma][pi], value), (sigma, pi)
 
-    assert len(slabs) == nodes
+    walked = []
     for pairs in slabs.values():
         [k] = np.flatnonzero(z == pairs.xi[0])
+        walked.append(k)
         assert set(pairs) == {(1, m + 2) for m in range(n - 1)}
         for m in range(n - 1):
             want = 1 + s_factor(z[k], axis_view(z, m, n - 1), ext)
             assert _same_bits(pairs[(1, m + 2)], want), (k, m)
+    # slabs K/2 + 1 .. K - 1 are filled as the conjugates of walked ones
+    assert sorted(walked) == list(range(nodes // 2 + 1))
 
 
 def _slab_reference(y, nu, rates, t, radius, nodes):
@@ -417,33 +420,41 @@ def _slab_reference(y, nu, rates, t, radius, nodes):
 
 
 @pytest.mark.parametrize(
-    "y, nu, window",
-    [((0, 1, 2), (2, 1, 2), (-3, 5)), ((0, 1, 2, 3), (2, 1, 2, 1), (-2, 5))],
+    "y, nu, window, rates",
+    [
+        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), R07, id="y0-nu0-window0"),
+        pytest.param((0, 1, 2, 3), (2, 1, 2, 1), (-2, 5), R07, id="y1-nu1-window1"),
+        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), RateParams.from_p(F(1, 2)), id="p=1/2"),
+        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), RateParams.from_p(F(1)), id="p=1"),
+    ],
 )
-def test_factored_planes_match_a_per_slab_reference(y, nu, window):
-    # the engine factors the species tables through entry 1; rebuilding
-    # every sigma's table at every slab from the nodes gives the same
-    # window to rounding, in extended precision, on both halves
+def test_factored_planes_match_a_per_slab_reference(y, nu, window, rates):
+    # the engine factors the species tables through entry 1 and fills
+    # slab K - k as the conjugate of slab k; rebuilding every sigma's table
+    # at every one of the K slabs from the nodes gives the same window to
+    # rounding, in extended precision, on both halves.  At p = 1 (q = 0)
+    # the mirrored half is empty
     nodes, t = 16, 0.5
     spec = ContourSpec(nodes=nodes, dimension=len(y))
     targets = StateSpace.build(window, len(y), nu).configs()
-    halves = [
-        (y, nu, R07, [(x, pi) for x, pi in targets if sum(x) >= sum(y)]),
-        (
-            transition_prob._reflect(y),
-            tuple(reversed(nu)),
-            RateParams(R07.q, R07.p),
-            [
-                (transition_prob._reflect(x), tuple(reversed(pi)))
-                for x, pi in targets
-                if sum(x) < sum(y)
-            ],
-        ),
-    ]
+    halves = [(y, nu, rates, [(x, pi) for x, pi in targets if sum(x) >= sum(y)])]
+    if rates.q:
+        halves.append(
+            (
+                transition_prob._reflect(y),
+                tuple(reversed(nu)),
+                RateParams(rates.q, rates.p),
+                [
+                    (transition_prob._reflect(x), tuple(reversed(pi)))
+                    for x, pi in targets
+                    if sum(x) < sum(y)
+                ],
+            )
+        )
     worst = scale = 0.0
-    for start, labels, rates, half in halves:
-        values, radius = transition_prob._contour_sum(start, labels, half, rates, t, spec)
-        spectra = _slab_reference(start, labels, rates, t, radius, nodes)
+    for start, labels, half_rates, half in halves:
+        values, radius = transition_prob._contour_sum(start, labels, half, half_rates, t, spec)
+        spectra = _slab_reference(start, labels, half_rates, t, radius, nodes)
         for (x, pi), value in zip(half, values):
             expect = (
                 np.longdouble(radius) ** (sum(x) - sum(start))
