@@ -148,7 +148,6 @@ class TargetRow:
     sites: tuple[int, ...]
     species: tuple[int, ...]
     value: float
-    imag: float
     oracle: float | None = None
 
 
@@ -183,7 +182,6 @@ class ProbReport:
     leakage: float | None = None
     targets: tuple[TargetRow, ...]
     total_value: float
-    max_imag: float
 
 
 @_report
@@ -336,11 +334,15 @@ REPORT_SCHEMAS = {
     cls.command: {"title": f"{cls.command}-report", **_schema(cls)} for cls in REPORTS
 }
 
-CSV_SCHEMAS = {
-    "targets": "sites,species,value,imag[,oracle] -- sites and species are "
-    "space-separated integers; oracle column present only with --with-oracle",
-    "histogram": "sites,species,count,frequency",
-}
+
+def _csv_columns(row_type) -> str:
+    """A CSV file's header: the row's fields in order, the optional ones
+    (defaulting to None, written only when asked for) in brackets."""
+    head = ",".join(f.name for f in fields(row_type) if f.default is not None)
+    return head + "".join(f"[,{f.name}]" for f in fields(row_type) if f.default is None)
+
+
+CSV_SCHEMAS = {"targets": _csv_columns(TargetRow), "histogram": _csv_columns(HistogramCell)}
 
 
 class UsageError(Exception):
@@ -546,7 +548,6 @@ def cmd_prob(args) -> ProbReport:
             sites=tv.sites,
             species=tv.species,
             value=tv.value,
-            imag=tv.imag,
             oracle=None if oracle is None else oracle.get((tv.sites, tv.species), 0.0),
         )
         for tv in values
@@ -560,13 +561,11 @@ def cmd_prob(args) -> ProbReport:
         leakage=leak,
         targets=rows,
         total_value=sum(r.value for r in rows),
-        max_imag=max((abs(r.imag) for r in rows), default=0.0),
     )
     print(
         f"prob: {len(rows)} target(s), total {report.total_value:.12f}, "
-        f"max |imag| {report.max_imag:.3e}, nodes {quadrature.nodes}, radius "
-        f"{_radius_text(quadrature.radius)}, mirror_radius "
-        f"{_radius_text(quadrature.mirror_radius)}"
+        f"nodes {quadrature.nodes}, radius {_radius_text(quadrature.radius)}, "
+        f"mirror_radius {_radius_text(quadrature.mirror_radius)}"
     )
     for row in rows[: args.print_limit]:
         extra = f"  oracle {row.oracle:.12e}" if row.oracle is not None else ""
@@ -700,7 +699,7 @@ def cmd_oracle(args) -> OracleReport:
         picked = ((cfg, pr) for cfg, pr in dist.items() if pr >= args.mass_floor)
     else:
         picked = ((cfg, dist.get(cfg, 0.0)) for cfg in targets)
-    rows = tuple(TargetRow(*cfg, value=pr, imag=0.0) for cfg, pr in picked)
+    rows = tuple(TargetRow(*cfg, value=pr) for cfg, pr in picked)
     report = OracleReport(
         p=float(rates.p),
         t=t,
@@ -926,9 +925,13 @@ def main(argv=None) -> int:
             _validate(_json(flags), MANIFEST_SCHEMA, "flags")
         report = args.handler(args)
         if getattr(args, "out", None):
+            # a NaN or infinity would make a file no JSON parser reads: it
+            # is a ValueError here, before the file is created
+            text = json.dumps(
+                report, indent=2, sort_keys=True, default=_fields, allow_nan=False
+            )
             with _created(args.out, "report") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True, default=_fields)
-                fh.write("\n")
+                fh.write(text + "\n")
     except (UsageError, ValueError, BethePoleError) as exc:
         print(f"asep-exact: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -305,7 +305,10 @@ def window_for(
     while leakage_bound(n, t, delta) > leak_tol:
         delta += 1
         if delta > 10000:
-            raise RuntimeError("no window satisfies the leakage tolerance")
+            raise ValueError(
+                f"no window within 10000 sites of the start keeps the leakage "
+                f"below leak_tol = {leak_tol:g} at t = {t:g}"
+            )
     return (min(y) - delta, max(y) + delta)
 
 

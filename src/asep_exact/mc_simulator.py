@@ -151,7 +151,8 @@ def compare(
 ) -> ComparisonReport:
     """Binomial z-scores of the empirical counts against reference
     probabilities, checking every cell whose expected count reaches
-    min_expected.  An observed cell missing from the reference with
+    min_expected; a cell of reference probability 1 passes only when every
+    trial lands in it.  An observed cell missing from the reference with
     empirical mass above STRAY_MASS_TOL means the reference does not
     cover the support and is an error, not a flag."""
     n = result.trials
@@ -173,12 +174,21 @@ def compare(
         if expected < min_expected:
             continue
         count = result.counts.get(cfg, 0)
-        z = (count - expected) / np.sqrt(expected * (1 - prob))
+        variance = expected * (1 - prob)
+        if variance > 0:
+            z = (count - expected) / np.sqrt(variance)
+            missed = abs(z) > z_threshold
+        else:
+            # a certain cell (prob >= 1) has no spread: it matches only when
+            # every trial lands in it, and a miss has no finite z, so its z
+            # is the count deviation itself
+            missed = count != n
+            z = count - expected if missed else 0.0
         cell = CellCheck(
             sites=cfg[0], species=cfg[1], count=count, expected=expected, z=float(z)
         )
         checked.append(cell)
-        if abs(z) > z_threshold:
+        if missed:
             flagged.append(cell)
     return ComparisonReport(
         trials=n,

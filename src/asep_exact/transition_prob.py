@@ -34,11 +34,10 @@ all satisfy G(conj xi) = conj G(xi), and the node table is exactly
 conjugate symmetric (node K - k is conj(node k), node K/2 is -r).  So slab
 K - k's plane is slab k's conjugated with every plane index negated, and
 its transform at each kept mode is the conjugate of slab k's.  Only the
-slabs k = 0 .. K/2 are walked; the rest are filled by conjugation before
-the transform along the slab index.  This holds on both halves, for any
-real p (q = 0 included), and for partial permutation sums.  Each target's
-value is therefore real up to the rounding of that last transform, and
-its reported imaginary part measures only that rounding.
+slabs k = 0 .. K/2 are walked, and the transform along the slab index is
+the Hermitian inverse FFT of those K/2 + 1 rows, which returns real
+values.  This holds on both halves, for any real p (q = 0 included), and
+for partial permutation sums.
 
 Every scattering factor a half needs is an entry of one K x K matrix
 S[k, l] = s_factor(z_k, z_l) on the node circle, evaluated (and checked
@@ -65,6 +64,7 @@ it stays on the direct lattice for every target.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -100,12 +100,9 @@ from .permutations import (
 )
 from .species_coeff import PairTable, coefficient_table, exchange_update
 
-# Relative size of an imaginary residue worth surfacing.  The exact value
-# is real; the quadrature leaves a rounding-level imaginary part.
-IMAG_REL_TOL = 1e-9
-
-# Slack on a window's total mass: outside [1 - leakage - MASS_TOL,
-# 1 + MASS_TOL] the window's values are flagged as off.
+# Slack on a probability and on a window's total mass: a value outside
+# [-MASS_TOL, 1 + MASS_TOL], or a window's mass outside
+# [1 - leakage - MASS_TOL, 1 + MASS_TOL], is flagged as off.
 MASS_TOL = 1e-8
 
 # Cap on one slab's node-grid size, K^(N-1) points of extended-precision
@@ -126,12 +123,14 @@ def _extended_rates(rates: RateParams) -> RateParams:
 
 @dataclass(frozen=True)
 class TargetValue:
-    """One target's probability with its leftover imaginary residue."""
+    """One target's probability.  ``imag`` is always 0.0: the engine's
+    values are real by construction, and the field is kept only for
+    callers that still read it."""
 
     sites: tuple[int, ...]
     species: tuple[int, ...]
     value: float
-    imag: float
+    imag: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,6 @@ class DistributionReport:
     @property
     def total_mass(self) -> float:
         return sum(v.value for v in self.values)
-
-    @property
-    def max_imag(self) -> float:
-        return max((abs(v.imag) for v in self.values), default=0.0)
 
     def as_dict(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
         return {(v.sites, v.species): v.value for v in self.values}
@@ -177,7 +172,7 @@ class Evaluation:
     holds the targets with sum(x) >= sum(y), the mirrored half the rest; a
     sum over part of the permutations runs on the direct half only."""
 
-    values: tuple[complex, ...]
+    values: tuple[float, ...]
     quadrature: Quadrature
 
 
@@ -248,6 +243,10 @@ def _evaluate(
     on the mirrored lattice, with p and q swapped; at p = 1 they are
     exactly 0.  Only the full sum is mirror invariant, so a partial sum
     keeps every target on the direct lattice.
+
+    A value that is not finite is a ValueError.  Full-sum values outside
+    [-MASS_TOL, 1 + MASS_TOL] are not probabilities: the contour is
+    starved or aliased there, and one UserWarning names how many.
     """
     check_problem(y, nu, t, targets)
     n = len(y)
@@ -258,13 +257,13 @@ def _evaluate(
     split = sum(y) if permutations is None else -np.inf
     direct = [k for k in live if sum(targets[k][0]) >= split]
     left = [k for k in live if sum(targets[k][0]) < split]
-    out: list[complex] = [0j] * len(targets)
+    out: list[float] = [0.0] * len(targets)
 
     values, radius = _contour_sum(
         tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec, permutations
     )
     for k, v in zip(direct, values):
-        out[k] = complex(v)
+        out[k] = float(v)
     mirror_radius = None
     if left and rates.q != 0:
         mirrored = [
@@ -276,7 +275,24 @@ def _evaluate(
             RateParams(rates.q, rates.p), t, spec,
         )
         for k, v in zip(left, values):
-            out[k] = complex(v)
+            out[k] = float(v)
+
+    bad = [k for k, v in enumerate(out) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(
+            f"{len(bad)} of {len(out)} values are not finite, e.g. at target "
+            f"{targets[bad[0]]} (t = {t}, {spec.nodes} nodes)"
+        )
+    if permutations is None:
+        off = [k for k, v in enumerate(out) if not -MASS_TOL <= v <= 1 + MASS_TOL]
+        if off:
+            worst = max(off, key=lambda k: abs(out[k] - 0.5))
+            warnings.warn(
+                f"{len(off)} of {len(out)} values lie outside [-{MASS_TOL:g}, "
+                f"1 + {MASS_TOL:g}]; worst {out[worst]:.6g} at target "
+                f"{targets[worst]}, {spec.nodes} nodes",
+                stacklevel=3,
+            )
     return Evaluation(values=tuple(out), quadrature=spec.quadrature(radius, mirror_radius))
 
 
@@ -309,8 +325,9 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
     modes = sites % nodes
     scale = np.longdouble(radius) ** (sites.sum(axis=1) - sum(y))
 
+    half = nodes // 2
     if n == 1:
-        spectrum = scipy.fft.ifft(kernels[0], norm="forward")
+        spectrum = scipy.fft.irfft(kernels[0][: half + 1], n=nodes, norm="forward")
         return scale * spectrum[modes[:, 0]], float(radius)
 
     n_rest = n - 1
@@ -410,7 +427,6 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
     # is faulted in again by the next one.
     work = np.empty((nodes,) * n_rest, dtype=np.clongdouble)
     slab_spectra = {}
-    half = nodes // 2
     for k in range(half + 1):
         # first-variable pair factors of the entries left of the 1, and
         # the first variable's own kernel
@@ -440,30 +456,19 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
                         plane = plane.take(axis_modes[j][axis], axis=axis)
                     if (j, pi) not in slab_spectra:
                         slab_spectra[(j, pi)] = np.zeros(
-                            (nodes, len(plane_modes[j][0])), dtype=np.clongdouble
+                            (half + 1, len(plane_modes[j][0])), dtype=np.clongdouble
                         )
                     slab_spectra[(j, pi)][k] = plane[plane_modes[j]]
 
-    # slab K - k's spectrum is the conjugate of slab k's (module docstring);
-    # the last transform runs along the slab index, i.e. along axis j
-    values = np.zeros(len(targets), dtype=np.clongdouble)
+    # slab K - k's spectrum is the conjugate of slab k's (module docstring),
+    # so the last transform, along the slab index (axis j), is Hermitian
+    values = np.zeros(len(targets), dtype=np.longdouble)
     rows_of = {pi: np.flatnonzero([p == pi for p in pis]) for pi in needed_pis}
     for (j, pi), spectra in slab_spectra.items():
-        spectra[half + 1:] = spectra[half - 1:0:-1].conj()
-        spectrum = scipy.fft.ifft(spectra, axis=0, norm="forward")
+        spectrum = scipy.fft.irfft(spectra, n=nodes, axis=0, norm="forward")
         rows = rows_of[pi]
         values[rows] += spectrum[modes[rows, j], plane_slot[j][rows]]
     return scale * values, float(radius)
-
-
-def _as_float(value: complex, context: str) -> float:
-    if abs(value.imag) > IMAG_REL_TOL * max(1.0, abs(value.real)):
-        warnings.warn(
-            f"{context}: imaginary residue {value.imag:.3e} exceeds "
-            f"{IMAG_REL_TOL:g} of the value {value.real:.6e}",
-            stacklevel=3,
-        )
-    return value.real
 
 
 def transition_probability(
@@ -476,8 +481,7 @@ def transition_probability(
     spec: ContourSpec | None = None,
 ) -> float:
     """P(particles at x with labeling pi at time t | started at y with nu)."""
-    value = _evaluate(tuple(y), tuple(nu), [(tuple(x), tuple(pi))], rates, t, spec).values[0]
-    return _as_float(value, f"P({x}, {pi})")
+    return _evaluate(tuple(y), tuple(nu), [(tuple(x), tuple(pi))], rates, t, spec).values[0]
 
 
 def single_species_probability(
@@ -506,7 +510,7 @@ def transition_probabilities(
 
 def _target_values(targets, evaluation: Evaluation) -> list[TargetValue]:
     return [
-        TargetValue(sites=tuple(x), species=tuple(pi), value=v.real, imag=v.imag)
+        TargetValue(sites=tuple(x), species=tuple(pi), value=v)
         for (x, pi), v in zip(targets, evaluation.values)
     ]
 
@@ -579,7 +583,7 @@ def delta_recovery(
         worst = 0.0
         for (x, pi), v in zip(targets, evaluation.values):
             want = 1.0 if (x == y and pi == nu) else 0.0
-            worst = max(worst, abs(v.real - want), abs(v.imag))
+            worst = max(worst, abs(v - want))
         if (
             worst <= tol
             or nodes >= MAX_NODES
@@ -598,7 +602,7 @@ def sigma_summand(
     rates: RateParams,
     t: float = 0.0,
     spec: ContourSpec | None = None,
-) -> complex:
+) -> float:
     """A single permutation's contribution to the identical-species
     integral: scattering amplitude times kernels, no species coefficient."""
     if sorted(sigma) != list(range(1, len(y) + 1)):
@@ -613,7 +617,7 @@ def inversion_class_sum(
     entries: frozenset[int],
     rates: RateParams,
     spec: ContourSpec | None = None,
-) -> complex:
+) -> float:
     """Sum of t = 0 summands over the permutations whose inversions with
     the largest entry hit exactly this entry set.  Cancels identically;
     the return value is the quadrature residual of that cancellation."""
@@ -668,9 +672,9 @@ def master_equation_residual(
     here = _evaluate(y, nu, sources + [(x, pi)], rates, t, spec).values
     plus = _evaluate(y, nu, [(x, pi)], rates, t + dt, spec).values[0]
     minus = _evaluate(y, nu, [(x, pi)], rates, t - dt, spec).values[0]
-    lhs = (plus.real - minus.real) / (2 * dt)
-    rhs = sum(rate * v.real for rate, v in zip(column[rows].tolist(), here))
-    rhs -= exit_rate * here[-1].real
+    lhs = (plus - minus) / (2 * dt)
+    rhs = sum(rate * v for rate, v in zip(column[rows].tolist(), here))
+    rhs -= exit_rate * here[-1]
     return MasterEquationReport(
         time_derivative=lhs, flow_balance=rhs, residual=abs(lhs - rhs), dt=dt
     )

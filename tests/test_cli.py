@@ -96,8 +96,9 @@ def test_prob_csv_columns(tmp_path):
     assert [r["sites"] for r in rows] == ["0 2"]
     assert rows[0]["species"] == "2 1"
     assert 0 <= float(rows[0]["value"]) <= 1
-    assert abs(float(rows[0]["imag"])) < 1e-9
-    assert "oracle" not in rows[0]
+    with open(out) as fh:
+        assert next(csv.reader(fh)) == ["sites", "species", "value"]
+    assert cli.CSV_SCHEMAS["targets"] == "sites,species,value[,oracle]"
 
 
 def test_prob_with_oracle_adds_column(tmp_path):
@@ -108,8 +109,10 @@ def test_prob_with_oracle_adds_column(tmp_path):
     )
     assert code == 0
     with open(out) as fh:
+        assert next(csv.reader(fh)) == ["sites", "species", "value", "oracle"]
+    with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert rows and "oracle" in rows[0]
+    assert rows
     for row in rows:
         assert abs(float(row["value"]) - float(row["oracle"])) < 1e-6
 
@@ -281,6 +284,23 @@ def test_simulate_and_compare_reports_match_schemas(tmp_path):
     assert report["flagged"] and not report["passed"]
 
 
+@pytest.mark.parametrize("reference", ["oracle", "formula"])
+def test_compare_at_time_zero_writes_strict_json(reference, tmp_path, capsys):
+    # at t = 0 the start has probability 1: every trial lands there, so its
+    # z is 0, not 0/0, and the report parses without NaN
+    out = tmp_path / "cmp.json"
+    argv = ["compare", "--p", "0.7", "--t", "0", "--y", "0,1", "--nu", "1,1",
+            "--trials", "100", "--seed", "1", "--reference", reference, "--out", str(out)]
+    assert run(argv) == 0
+    assert "max |z| = 0.00" in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["checked"] == 1 and report["max_abs_z"] == 0.0
+
+
 PROBLEM = {"p": 0.5, "t": 0.3, "Y": [0, 1], "nu": [1, 2], "targets": [{"X": [0, 1], "pi": [2, 1]}]}
 BAD_INPUTS = [  # (manifest, what the error must name)
     ({"command": "verify-braid", "p": "1/2", "points": 0}, "at points:"),
@@ -373,6 +393,21 @@ BAD_INPUTS = [  # (manifest, what the error must name)
         "at seed:",
     ),
     ({"command": "verify-braid", "p": "1/2", "seed": 2**64}, "at seed:"),
+    # no window within reach keeps the leakage down, and the single target's
+    # contour overflows: both are input errors, not tracebacks or a nan
+    (
+        {"command": "prob", "p": 0.7, "t": 100000, "y": [0], "nu": [1]},
+        "below leak_tol = 1e-10 at t = 100000",
+    ),
+    (
+        {"command": "compare", "p": 0.7, "t": 100000, "y": [0], "nu": [1], "trials": 10,
+         "seed": 1},
+        "below leak_tol = 1e-10 at t = 100000",
+    ),
+    (
+        {"command": "prob", "p": 0.7, "t": 100000, "y": [0], "nu": [1], "x": [5]},
+        "1 of 1 values are not finite",
+    ),
 ]
 
 

@@ -172,6 +172,19 @@ def test_compare_rejects_stray_mass():
         compare(result, {((0, 1), (2, 1)): 1.0})
 
 
+def test_compare_certain_cell_is_flagged_when_a_trial_misses_it():
+    # a reference probability of 1 has no binomial spread: a miss is a
+    # flag with a finite z, not 0/0
+    result = simulate((0, 1), (2, 1), R07, 0.01, 1000, 3)
+    start = ((0, 1), (2, 1))
+    moved = result.trials - result.counts[start]
+    assert moved > 0
+    reference = dict.fromkeys(result.counts, 0.0) | {start: 1.0}
+    report = compare(result, reference)
+    [cell] = report.checked
+    assert report.flagged == (cell,) and cell.z == -moved
+
+
 def test_compare_threshold_knobs():
     result = simulate((0, 1), (2, 1), R07, 0.5, 20000, 77)
     reference, _, _ = oracle_distribution((0, 1), (2, 1), R07, 0.5)
