@@ -365,7 +365,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_rate(text) -> RateParams:
     if isinstance(text, str) and "/" in text:
-        value = Fraction(text)
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"p = {text} has a zero denominator") from None
     else:
         value = float(text) if not isinstance(text, (int, float)) else text
     return RateParams.from_p(value)

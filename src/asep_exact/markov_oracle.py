@@ -290,8 +290,8 @@ def window_leakage(y: tuple[int, ...], t: float, window: tuple[int, int]) -> flo
 
 
 def _check_time(t: float) -> None:
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got t = {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got t = {t}")
 
 
 def window_for(

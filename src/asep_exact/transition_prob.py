@@ -64,7 +64,6 @@ it stays on the direct lattice for every target.
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -96,7 +95,6 @@ from .permutations import (
     identity,
     inversion_classes,
     inversions,
-    species_orbit,
 )
 from .species_coeff import PairTable, coefficient_table, exchange_update
 
@@ -209,11 +207,6 @@ def _axis_kernels(z, y, rates, t, nodes):
     return [unit[(-k * int(yv)) % nodes] * growth / np.longdouble(nodes) for yv in y]
 
 
-def _reflect(sites: tuple[int, ...]) -> tuple[int, ...]:
-    """Sites on the mirrored lattice: negated, in reversed slot order."""
-    return tuple(-s for s in reversed(sites))
-
-
 def _spec_for(spec: ContourSpec | None, n: int) -> ContourSpec:
     """``spec``, or the default one, for a start of n particles; a spec of
     another dimension is a ValueError."""
@@ -252,48 +245,43 @@ def _evaluate(
     n = len(y)
     spec = _spec_for(spec, n)
 
-    orbit = species_orbit(tuple(nu))
-    live = [k for k, (x, pi) in enumerate(targets) if tuple(pi) in orbit]
+    sites, species = np.array(targets, dtype=np.int64).reshape(-1, 2, n).transpose(1, 0, 2)
+    live = (np.sort(species, axis=1) == sorted(nu)).all(axis=1)
     split = sum(y) if permutations is None else -np.inf
-    direct = [k for k in live if sum(targets[k][0]) >= split]
-    left = [k for k in live if sum(targets[k][0]) < split]
-    out: list[float] = [0.0] * len(targets)
-
-    values, radius = _contour_sum(
-        tuple(y), tuple(nu), [targets[k] for k in direct], rates, t, spec, permutations
-    )
-    for k, v in zip(direct, values):
-        out[k] = float(v)
+    direct = live & (sites.sum(axis=1) >= split)
+    left = live & ~direct
+    values = np.zeros(len(targets), dtype=np.longdouble)
     mirror_radius = None
-    if left and rates.q != 0:
-        mirrored = [
-            (_reflect(tuple(targets[k][0])), tuple(reversed(targets[k][1])))
-            for k in left
-        ]
-        values, mirror_radius = _contour_sum(
-            _reflect(tuple(y)), tuple(reversed(nu)), mirrored,
-            RateParams(rates.q, rates.p), t, spec,
+    # an overflowing contour shows up as a non-finite value, raised below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values[direct], radius = _contour_sum(
+            y, nu, sites[direct], species[direct], rates, t, spec, permutations
         )
-        for k, v in zip(left, values):
-            out[k] = float(v)
+        if left.any() and rates.q != 0:
+            values[left], mirror_radius = _contour_sum(
+                tuple(-s for s in reversed(y)), tuple(reversed(nu)),
+                -sites[left, ::-1], species[left, ::-1],
+                RateParams(rates.q, rates.p), t, spec,
+            )
+        out = values.astype(float)
 
-    bad = [k for k, v in enumerate(out) if not math.isfinite(v)]
-    if bad:
+    bad = np.flatnonzero(~np.isfinite(out))
+    if len(bad):
         raise ValueError(
             f"{len(bad)} of {len(out)} values are not finite, e.g. at target "
             f"{targets[bad[0]]} (t = {t}, {spec.nodes} nodes)"
         )
     if permutations is None:
-        off = [k for k, v in enumerate(out) if not -MASS_TOL <= v <= 1 + MASS_TOL]
-        if off:
-            worst = max(off, key=lambda k: abs(out[k] - 0.5))
+        off = np.flatnonzero((out < -MASS_TOL) | (out > 1 + MASS_TOL))
+        if len(off):
+            worst = off[np.argmax(abs(out[off] - 0.5))]
             warnings.warn(
                 f"{len(off)} of {len(out)} values lie outside [-{MASS_TOL:g}, "
                 f"1 + {MASS_TOL:g}]; worst {out[worst]:.6g} at target "
                 f"{targets[worst]}, {spec.nodes} nodes",
                 stacklevel=3,
             )
-    return Evaluation(values=tuple(out), quadrature=spec.quadrature(radius, mirror_radius))
+    return Evaluation(values=tuple(out.tolist()), quadrature=spec.quadrature(radius, mirror_radius))
 
 
 def _pair_view(matrix, axis_a, axis_b, ndim):
@@ -306,18 +294,18 @@ def _pair_view(matrix, axis_a, axis_b, ndim):
     return matrix.reshape(shape)
 
 
-def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
-    """Trapezoid values of targets in nu's species orbit on the direct
-    lattice, summed over ``permutations`` (default: all of S_N) and read
-    off one symmetrized spectrum per labeling.  Returns the values, in
+def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
+    """Trapezoid values of the targets (rows of the (m, N) int arrays
+    ``sites`` and ``species``, labelings in nu's species orbit) on the
+    direct lattice, summed over ``permutations`` (default: all of S_N) and
+    read off one symmetrized spectrum per labeling.  Returns the values, in
     extended precision, and the radius used (None for an empty batch).
     Only the full sum is mirror invariant, so the direct lattice serves
     targets left of the start only when a part of the sum is asked for."""
-    if not targets:
-        return [], None
+    if not len(sites):
+        return np.zeros(0, dtype=np.longdouble), None
     n = len(y)
     ext = _extended_rates(rates)
-    sites = np.array([x for x, _ in targets], dtype=np.int64)
     radius = _resolve_radius(spec, ext, t, int(sites.sum(axis=1).min()) - sum(y), n)
     nodes = spec.nodes
     z = node_points(radius, nodes)
@@ -419,8 +407,9 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
         uniq, slot = np.unique(at, axis=0, return_inverse=True)
         plane_modes.append(tuple(uniq.T))
         plane_slot.append(slot.reshape(-1))
-    pis = [tuple(pi) for _, pi in targets]
-    needed_pis = sorted(set(pis))
+    # the labelings in sorted order, and each target's among them
+    labelings, label_of = np.unique(species, axis=0, return_inverse=True)
+    labelings, label_of = list(map(tuple, labelings.tolist())), label_of.reshape(-1)
 
     # Each plane is weighted into one buffer allocated once: a working set
     # freed at the end of every slab goes back to the operating system and
@@ -444,7 +433,7 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
                     sigma = adjacent_swap(sigma, j)
                 if j not in slots:
                     continue
-                for pi in needed_pis:
+                for label, pi in enumerate(labelings):
                     if pi not in table:
                         continue
                     plane = np.multiply(table[pi], weights[j], out=work)
@@ -454,19 +443,18 @@ def _contour_sum(y, nu, targets, rates, t, spec, permutations=None):
                             plane, axis=axis, norm="forward", overwrite_x=True
                         )
                         plane = plane.take(axis_modes[j][axis], axis=axis)
-                    if (j, pi) not in slab_spectra:
-                        slab_spectra[(j, pi)] = np.zeros(
+                    if (j, label) not in slab_spectra:
+                        slab_spectra[(j, label)] = np.zeros(
                             (half + 1, len(plane_modes[j][0])), dtype=np.clongdouble
                         )
-                    slab_spectra[(j, pi)][k] = plane[plane_modes[j]]
+                    slab_spectra[(j, label)][k] = plane[plane_modes[j]]
 
     # slab K - k's spectrum is the conjugate of slab k's (module docstring),
     # so the last transform, along the slab index (axis j), is Hermitian
-    values = np.zeros(len(targets), dtype=np.longdouble)
-    rows_of = {pi: np.flatnonzero([p == pi for p in pis]) for pi in needed_pis}
-    for (j, pi), spectra in slab_spectra.items():
+    values = np.zeros(len(sites), dtype=np.longdouble)
+    for (j, label), spectra in slab_spectra.items():
         spectrum = scipy.fft.irfft(spectra, n=nodes, axis=0, norm="forward")
-        rows = rows_of[pi]
+        rows = label_of == label
         values[rows] += spectrum[modes[rows, j], plane_slot[j][rows]]
     return scale * values, float(radius)
 

@@ -176,6 +176,13 @@ def test_problem_file_inconsistent_counts_rejected(tmp_path):
     assert run(["prob", str(path)]) == 1
 
 
+def test_problem_file_zero_denominator_rejected(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(PROBLEM, p="1/0")))
+    assert run(["prob", str(path)]) == 1
+    assert "p = 1/0" in capsys.readouterr().err
+
+
 def test_manifest_dispatch_and_rejection(tmp_path, capsys):
     manifest = {"command": "verify-delta", "p": "1/2", "y": [0, 1, 2]}
     path = tmp_path / "manifest.json"
@@ -407,6 +414,24 @@ BAD_INPUTS = [  # (manifest, what the error must name)
     (
         {"command": "prob", "p": 0.7, "t": 100000, "y": [0], "nu": [1], "x": [5]},
         "1 of 1 values are not finite",
+    ),
+    (
+        {"command": "prob", "p": 0.7, "t": 100000, "y": [0, 1], "nu": [2, 1], "x": [3, 5]},
+        "1 of 1 values are not finite",
+    ),
+    # a rate a/0 and a time that is not finite are input errors naming p
+    # and t, not a traceback, a nan or an empty distribution
+    ({"command": "prob", "p": "1/0", "t": 1, "y": [0], "nu": [1], "x": [1]}, "p = 1/0"),
+    ({"command": "verify-second-class", "p": "2/0"}, "p = 2/0"),
+    (
+        {"command": "oracle", "p": 0.7, "t": float("inf"), "y": [0, 1], "nu": [1, 1],
+         "window": [-3, 4]},
+        "got t = inf",
+    ),
+    (
+        {"command": "simulate", "p": 0.7, "t": float("nan"), "y": [0, 1], "trials": 10,
+         "seed": 1},
+        "got t = nan",
     ),
 ]
 

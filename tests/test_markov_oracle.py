@@ -1,6 +1,7 @@
 """Finite-window generator oracle: the independent ground truth."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -266,24 +267,27 @@ def test_window_for_controls_leakage():
 
 
 def test_negative_time_names_t():
-    # with or without an explicit window, a negative time is a ValueError
-    # about t, not a search for a window that cannot exist
-    with pytest.raises(ValueError, match="t = -0.3"):
-        window_for((0, 1), -0.3)
-    with pytest.raises(ValueError, match="got t = -0.3"):
-        transition_probability((0, 1), (1, 2), (0, 1), (1, 2), R05, -0.3)
-    with pytest.raises(ValueError, match="t = -0.3"):
-        distribution_over_window((0, 1), (1, 2), R05, -0.3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        distribution_over_window((0, 1), (1, 2), R05, -0.3, window=(-2, 3))
-    for window in (None, (-2, 3)):
-        with pytest.raises(ValueError, match="t = -0.3"):
-            oracle_distribution((0, 1), (1, 2), R05, -0.3, window=window)
-    with pytest.raises(ValueError, match="t = -0.3"):
-        simulate((0, 1), (1, 2), R05, -0.3, 10, 1)
-    # a single summand goes through the same engine entry point
-    with pytest.raises(ValueError, match="nonnegative"):
-        sigma_summand((0, 1), (0, 1), (2, 1), R07, -0.5)
+    # with or without an explicit window, a negative or non-finite time is
+    # a ValueError about t, not a search for a window that cannot exist, a
+    # silent nan or an empty distribution
+    for t in (-0.3, math.nan, math.inf):
+        named = f"got t = {t}"
+        with pytest.raises(ValueError, match=named):
+            window_for((0, 1), t)
+        with pytest.raises(ValueError, match=named):
+            transition_probability((0, 1), (1, 2), (0, 1), (1, 2), R05, t)
+        with pytest.raises(ValueError, match=named):
+            distribution_over_window((0, 1), (1, 2), R05, t)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            distribution_over_window((0, 1), (1, 2), R05, t, window=(-2, 3))
+        for window in (None, (-2, 3)):
+            with pytest.raises(ValueError, match=named):
+                oracle_distribution((0, 1), (1, 2), R05, t, window=window)
+        with pytest.raises(ValueError, match=named):
+            simulate((0, 1), (1, 2), R05, t, 10, 1)
+        # a single summand goes through the same engine entry point
+        with pytest.raises(ValueError, match="nonnegative"):
+            sigma_summand((0, 1), (0, 1), (2, 1), R07, t)
 
 
 def test_poisson_tail_is_scipy_stats_survival_function():

@@ -283,10 +283,8 @@ def test_values_off_the_unit_interval_warn_and_non_finite_ones_raise():
     # and at t = 100000 the kernels overflow extended precision
     with pytest.warns(UserWarning, match=r"1 of 1 values .* worst 5\.8\d*e\+70 .*64 nodes"):
         transition_probability((0,), (1,), (400,), (1,), R07, 1000.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match=r"not finite, e\.g\. at target \(\(5,\), \(1,\)\)"):
-            transition_probability((0,), (1,), (5,), (1,), R07, 100000.0)
+    with pytest.raises(ValueError, match=r"not finite, e\.g\. at target \(\(5,\), \(1,\)\)"):
+        transition_probability((0,), (1,), (5,), (1,), R07, 100000.0)
 
 
 def test_time_zero_probability_is_delta():
@@ -449,32 +447,84 @@ def test_factored_planes_match_a_per_slab_reference(y, nu, window, rates):
     nodes, t = 16, 0.5
     spec = ContourSpec(nodes=nodes, dimension=len(y))
     targets = StateSpace.build(window, len(y), nu).configs()
-    halves = [(y, nu, rates, [(x, pi) for x, pi in targets if sum(x) >= sum(y)])]
+    sites, species = np.array(targets).transpose(1, 0, 2)
+    left = sites.sum(axis=1) < sum(y)
+    halves = [(y, nu, rates, sites[~left], species[~left])]
     if rates.q:
         halves.append(
             (
-                transition_prob._reflect(y),
+                tuple(-s for s in reversed(y)),
                 tuple(reversed(nu)),
                 RateParams(rates.q, rates.p),
-                [
-                    (transition_prob._reflect(x), tuple(reversed(pi)))
-                    for x, pi in targets
-                    if sum(x) < sum(y)
-                ],
+                -sites[left, ::-1],
+                species[left, ::-1],
             )
         )
     worst = scale = 0.0
-    for start, labels, half_rates, half in halves:
-        values, radius = transition_prob._contour_sum(start, labels, half, half_rates, t, spec)
+    for start, labels, half_rates, xs, pis in halves:
+        values, radius = transition_prob._contour_sum(
+            start, labels, xs, pis, half_rates, t, spec
+        )
         spectra = _slab_reference(start, labels, half_rates, t, radius, nodes)
-        for (x, pi), value in zip(half, values):
+        for x, pi, value in zip(xs.tolist(), pis.tolist(), values):
             expect = (
                 np.longdouble(radius) ** (sum(x) - sum(start))
-                * spectra[pi][tuple(np.mod(x, nodes))]
+                * spectra[tuple(pi)][tuple(np.mod(x, nodes))]
             )
             worst = max(worst, abs(value - expect))
             scale = max(scale, abs(value))
     assert worst <= 1e-17 * scale
+
+
+# One batch from (0,1,2)/(2,1,2): targets on both halves, the start
+# itself, a labeling outside nu's orbit and a repeated target.
+MIXED_START = ((0, 1, 2), (2, 1, 2))
+MIXED_BATCH = [
+    ((1, 2, 4), (1, 2, 2)),
+    ((-2, 0, 1), (2, 1, 2)),
+    ((0, 1, 3), (1, 1, 2)),
+    ((0, 1, 2), (2, 1, 2)),
+    ((-1, 1, 2), (2, 2, 1)),
+    ((1, 2, 4), (1, 2, 2)),
+]
+MIXED_LEFT = [1, 4]
+MIXED_SPEC = ContourSpec(nodes=16, dimension=3)
+
+
+def test_batch_order_is_bookkeeping_only():
+    # the same targets give the same radii, so the reversed batch is the
+    # reversed values bit for bit; a repeat reads the same value, and a
+    # labeling outside the orbit is an exact 0
+    forward = transition_prob._evaluate(*MIXED_START, MIXED_BATCH, R07, 0.5, MIXED_SPEC)
+    backward = transition_prob._evaluate(
+        *MIXED_START, MIXED_BATCH[::-1], R07, 0.5, MIXED_SPEC
+    )
+    assert backward.quadrature == forward.quadrature
+    assert forward.quadrature.mirror_radius is not None
+    assert _same_bits(backward.values[::-1], forward.values)
+    assert forward.values[0] == forward.values[5] > 0
+    assert forward.values[2] == 0.0
+    assert all(forward.values[k] > 0 for k in MIXED_LEFT)
+
+
+def test_tasep_left_targets_are_exact_zeros():
+    # particles only move right at p = 1: no mirrored half is computed
+    evaluation = transition_prob._evaluate(
+        *MIXED_START, MIXED_BATCH, TASEP, 0.5, MIXED_SPEC
+    )
+    assert evaluation.quadrature.mirror_radius is None
+    assert [evaluation.values[k] for k in MIXED_LEFT] == [0.0, 0.0]
+    assert evaluation.values[2] == 0.0 and evaluation.values[0] > 0
+
+
+def test_partial_sum_keeps_left_targets_on_the_direct_lattice():
+    members = next(iter(inversion_classes(3).values()))
+    evaluation = transition_prob._evaluate(
+        *MIXED_START, MIXED_BATCH, R07, 0.5, MIXED_SPEC, members
+    )
+    assert evaluation.quadrature.mirror_radius is None
+    assert all(evaluation.values[k] != 0 for k in MIXED_LEFT)
+    assert evaluation.values[2] == 0.0
 
 
 def test_engine_builds_one_scattering_matrix_per_half(monkeypatch):
