@@ -134,7 +134,7 @@ PROBLEM_SCHEMA = {
     "additionalProperties": False,
 }
 
-# --- reports: one frozen dataclass each; REPORT_SCHEMAS is generated -----
+# --- reports: one frozen dataclass each, returned by its command's handler
 
 
 @dataclass(frozen=True)
@@ -318,21 +318,6 @@ def _schema(tp) -> dict:
             return _INT_ARRAY
         return {"type": "array", "items": _schema(args[0])}
     return {"type": _JSON_TYPES[tp]}
-
-
-REPORTS = (
-    ProbReport,
-    VerifyDeltaReport,
-    VerifyBraidReport,
-    VerifyBClassesReport,
-    VerifySecondClassReport,
-    OracleReport,
-    SimulateReport,
-    CompareReport,
-)
-REPORT_SCHEMAS = {
-    cls.command: {"title": f"{cls.command}-report", **_schema(cls)} for cls in REPORTS
-}
 
 
 def _csv_columns(row_type) -> str:
@@ -865,6 +850,12 @@ COMMANDS = {
          "z_threshold": 4.0, "min_expected": 25.0, "leak_tol": DEFAULT_LEAK_TOL,
          **_QUAD, "out": None},
     ),
+}
+
+# each command's report schema, from the type its handler returns
+REPORT_SCHEMAS = {
+    command: {"title": f"{command}-report", **_schema(typing.get_type_hints(handler)["return"])}
+    for command, (_, handler, _) in COMMANDS.items()
 }
 
 MANIFEST_SCHEMA = {

@@ -65,7 +65,12 @@ def check_config(sites: tuple[int, ...], species: tuple[int, ...]) -> None:
 
 def check_problem(y, nu, t: float, targets=()) -> None:
     """The start (y, nu), the time and each (sites, species) target, in
-    that order: the targets must be configurations of len(y) particles."""
+    that order: the start's sites and species must be integers, and the
+    targets configurations of len(y) particles."""
+    if not all(map(_is_int, (*y, *nu))):
+        raise ValueError(
+            f"start sites and species must be integers, got y = {tuple(y)}, nu = {tuple(nu)}"
+        )
     check_config(tuple(y), tuple(nu))
     _check_time(t)
     for sites, species in targets:

@@ -16,13 +16,14 @@ above the identity.  Words compose associatively and satisfy the braid
 relations, so the result is word-independent; ``check_braid_relations``
 verifies that exactly on rational inputs.
 
-A point has only N(N-1) ordered pairs, so the factor 1 + S at each bond
-is read from a ``PairTable``: ``1 + S(xi_a, xi_b)`` keyed by the ordered
-entries (a, b), each evaluated the first time a letter needs it.  Every
-function taking ``xi`` accepts the N points or a ``PairTable`` already
-built on them, so one table serves every call made at one point (the
-exact sweeps build one per rational point; the contour engine fills one
-for its rest grid and one per slab with views of its scattering matrix).
+Each letter is given its bond factor 1 + S; its caller reads it at the
+two entries the letter exchanges.  A point has only N(N-1) ordered pairs,
+so the walks here read them from a ``PairTable``: ``1 + S(xi_a, xi_b)``
+keyed by the ordered entries (a, b), each evaluated the first time a
+letter needs it.  Every function taking ``xi`` accepts the N points or a
+table already built on them, so one table serves every call made at one
+point (the exact sweeps build one per rational point; the contour engine
+passes a plain dict of views of its scattering matrix for its rest grid).
 
 The exact braid sweep runs on integer numerators.  At a rational point
 ``PairTable.over_common_denominator`` writes p = P/R, q = Q/R and every
@@ -80,9 +81,10 @@ class PairTable(dict):
         self.rates = rates
 
     @classmethod
-    def of(cls, xi, rates: RateParams) -> "PairTable":
-        """``xi`` itself when it is already a table, else a new one on it."""
-        return xi if isinstance(xi, cls) else cls(xi, rates)
+    def of(cls, xi, rates: RateParams) -> dict:
+        """``xi`` itself when it is already a table (any dict of bonds),
+        else a new one on it."""
+        return xi if isinstance(xi, dict) else cls(xi, rates)
 
     def __missing__(self, pair):
         a, b = pair
@@ -150,25 +152,17 @@ def _times(table: CoeffTable, factor) -> CoeffTable:
     return {pi: factor * v for pi, v in table.items() if not _is_zero_scalar(v)}
 
 
-def exchange_update(
-    i: int,
-    sigma: Permutation,
-    h: CoeffTable,
-    pairs: PairTable,
-    rates: RateParams,
-    scale: int = 1,
-) -> CoeffTable:
-    """Apply the exchange operator at bond i to a coefficient table sitting
-    above sigma.  The bond factor 1 + S is the one at the entries sigma
-    currently holds in slots i and i+1; the returned table sits above
+def exchange_update(i: int, h: CoeffTable, c, rates: RateParams, scale: int = 1) -> CoeffTable:
+    """Apply the exchange operator at bond i, whose bond factor is c, to a
+    coefficient table.  Above sigma, c is 1 + S at the entries sigma holds
+    in slots i and i+1, and the returned table sits above
     adjacent_swap(sigma, i).
 
-    At ``scale`` D, with the integer bonds and rates of
+    At ``scale`` D, with an integer bond and rates of
     ``PairTable.over_common_denominator``, each entry becomes
     D h(pi) + c (alpha h(swap pi) - beta h(pi)): D times the exact letter,
     in ``int``.  At scale 1 the letter is the plain one, with the same
     operations in the same order."""
-    c = pairs[(sigma[i - 1], sigma[i])]
     support = set(h)
     support.update(label_swap(pi, i) for pi in h)
     out: CoeffTable = {}
@@ -189,14 +183,14 @@ def braid_apply(
     word: Word,
     sigma: Permutation,
     h: CoeffTable,
-    pairs: PairTable,
+    pairs: dict,
     rates: RateParams,
     scale: int = 1,
 ):
     """Apply a word of exchange operators (rightmost letter first) to the
     pair (sigma, h); returns the new pair."""
     for i in reversed(word):
-        h = exchange_update(i, sigma, h, pairs, rates, scale)
+        h = exchange_update(i, h, pairs[(sigma[i - 1], sigma[i])], rates, scale)
         sigma = adjacent_swap(sigma, i)
     return sigma, h
 
@@ -237,7 +231,9 @@ def coefficient_table(nu: SpeciesMap, xi, rates: RateParams) -> dict[Permutation
                 if sigma[i - 1] < sigma[i]:
                     tau = adjacent_swap(sigma, i)
                     if tau not in table:
-                        table[tau] = exchange_update(i, sigma, table[sigma], pairs, rates)
+                        table[tau] = exchange_update(
+                            i, table[sigma], pairs[(sigma[i - 1], sigma[i])], rates
+                        )
                         next_level.append(tau)
         level = next_level
     return table

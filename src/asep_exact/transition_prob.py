@@ -44,11 +44,11 @@ S[k, l] = s_factor(z_k, z_l) on the node circle, evaluated (and checked
 against the pole guard) once.  The factors with the first variable are
 its columns, those within the rest grid its axis views.  The species
 coefficient tables factor through entry 1: the exchange recursion builds
-the tables of the orders of entries 2..N once per half, from a pair table
-(``species_coeff.PairTable``) whose bonds are views of 1 + S, and they are
-summed with their amplitudes into one table per labeling.  Each slab then
-applies only the N - 1 letters that move entry 1, whose bonds are that
-slab's row of 1 + S.  With one species every letter is the identity.
+the tables of the orders of entries 2..N once per half, on bonds that are
+views of 1 + S, and they are summed with their amplitudes into one table
+per labeling.  Each slab then applies only the N - 1 letters that move
+entry 1, each given its bond from that slab's row of 1 + S.  With one
+species every letter is the identity.
 
 Targets left of the start (sum x < sum y) would need an integrand growing
 like r^(sum x - sum y) on a contour held inside the pole bound, so they
@@ -76,6 +76,7 @@ from .contour_quadrature import (
     MAX_NODES,
     ContourSpec,
     Quadrature,
+    admissible_radius_bound,
     assert_admissible,
     axis_view,
     balanced_radius,
@@ -84,19 +85,14 @@ from .contour_quadrature import (
 from .markov_oracle import (
     DEFAULT_LEAK_TOL,
     StateSpace,
+    _is_int,
     build_generator,
     check_problem,
     window_for,
     window_leakage,
 )
-from .permutations import (
-    adjacent_swap,
-    all_permutations,
-    identity,
-    inversion_classes,
-    inversions,
-)
-from .species_coeff import PairTable, coefficient_table, exchange_update
+from .permutations import all_permutations, inversion_classes, inversions
+from .species_coeff import coefficient_table, exchange_update
 
 # Slack on a probability and on a window's total mass: a value outside
 # [-MASS_TOL, 1 + MASS_TOL], or a window's mass outside
@@ -106,6 +102,10 @@ MASS_TOL = 1e-8
 # Cap on one slab's node-grid size, K^(N-1) points of extended-precision
 # complex.  64^3 fits comfortably; one more axis would not.
 MAX_SLAB_POINTS = 1 << 21
+
+# Largest |site| or species label: at most 8 particles (the slab budget at
+# 8 nodes) keep every sum of sites, and the difference of two, in int64.
+MAX_SITE = 2**59
 
 
 def _longdouble(value) -> np.longdouble:
@@ -237,15 +237,25 @@ def _evaluate(
     exactly 0.  Only the full sum is mirror invariant, so a partial sum
     keeps every target on the direct lattice.
 
-    A value that is not finite is a ValueError.  Full-sum values outside
-    [-MASS_TOL, 1 + MASS_TOL] are not probabilities: the contour is
-    starved or aliased there, and one UserWarning names how many.
+    A start or target with an entry that is not an integer or lies past
+    MAX_SITE, and a value that is not finite, are ValueErrors.  Full-sum
+    values outside [-MASS_TOL, 1 + MASS_TOL] are not probabilities: the
+    contour is starved or aliased there, and one UserWarning names how many.
     """
     check_problem(y, nu, t, targets)
     n = len(y)
     spec = _spec_for(spec, n)
 
-    sites, species = np.array(targets, dtype=np.int64).reshape(-1, 2, n).transpose(1, 0, 2)
+    configs = [(y, nu), *targets]
+    batch = np.array(configs)
+    # a float, or an int past int64, makes a float or object batch
+    if batch.dtype.kind != "i" or batch.min() < -MAX_SITE or batch.max() > MAX_SITE:
+        bad = next(
+            (tuple(x), tuple(pi)) for x, pi in configs
+            if not all(_is_int(v) and -MAX_SITE <= v <= MAX_SITE for v in (*x, *pi))
+        )
+        raise ValueError(f"{bad}: sites and species must be integers of magnitude at most 2**59")
+    sites, species = batch[1:].astype(np.int64).transpose(1, 0, 2)
     live = (np.sort(species, axis=1) == sorted(nu)).all(axis=1)
     split = sum(y) if permutations is None else -np.inf
     direct = live & (sites.sum(axis=1) >= split)
@@ -258,10 +268,17 @@ def _evaluate(
             y, nu, sites[direct], species[direct], rates, t, spec, permutations
         )
         if left.any() and rates.q != 0:
+            mirrored = RateParams(rates.q, rates.p)
+            bound = admissible_radius_bound(mirrored)
+            if spec.radius is not None and not spec.radius < bound:
+                raise ValueError(
+                    f"radius {spec.radius} is refused by the mirrored half, where targets left "
+                    f"of the start run with p and q swapped (p = {float(rates.q):g}, "
+                    f"q = {float(rates.p):g}): its pole bound is {bound:g}"
+                )
             values[left], mirror_radius = _contour_sum(
                 tuple(-s for s in reversed(y)), tuple(reversed(nu)),
-                -sites[left, ::-1], species[left, ::-1],
-                RateParams(rates.q, rates.p), t, spec,
+                -sites[left, ::-1], species[left, ::-1], mirrored, t, spec,
             )
         out = values.astype(float)
 
@@ -332,11 +349,6 @@ def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
     # rest grid, and the views of 1 + S are the bonds of the species tables.
     scatter = s_factor(z[:, None], z[None, :], ext)
     bond = 1 + scatter
-    pair_rest = {
-        (a, b): _pair_view(scatter, a - 2, b - 2, n_rest)
-        for a in range(2, n + 1)
-        for b in range(2, a)
-    }
 
     rest_kernel = axis_view(kernels[1], 0, n_rest)
     for a in range(3, n + 1):
@@ -359,12 +371,10 @@ def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
     # U[pi] = sum amp_tau * T_tau[pi] is formed once per half and each slab
     # only walks it through the N - 1 letters.  With one species every
     # letter is the identity.
-    rest = tuple(axis_view(z, a, n_rest) for a in range(n_rest))
-    rest_pairs = PairTable(rest, ext)
-    for b in range(2, n):
-        for a in range(1, b):
-            rest_pairs[(a, b)] = _pair_view(bond, a - 1, b - 1, n_rest)
-    rest_tables = coefficient_table(tuple(nu[1:]), rest_pairs, ext)
+    rest_bonds = {
+        (a, b): _pair_view(bond, a - 1, b - 1, n_rest) for b in range(2, n) for a in range(1, b)
+    }
+    rest_tables = coefficient_table(tuple(nu[1:]), rest_bonds, ext)
 
     # the orders tau each plane axis j sums over; axes with the same orders
     # share one walk
@@ -385,7 +395,8 @@ def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
             axes = tuple(v - 1 for v in tau)
             amp = rest_kernel.transpose(axes)
             for a, b in sorted(inversions(tau)):
-                amp = np.multiply(amp, pair_rest[(a + 1, b + 1)].transpose(axes), order="C")
+                pair = _pair_view(scatter, a - 1, b - 1, n_rest)
+                amp = np.multiply(amp, pair.transpose(axes), order="C")
             for rest_pi, coeff in rest_tables[tau].items():
                 if np.ndim(coeff):
                     coeff = coeff.transpose(axes)
@@ -422,15 +433,11 @@ def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
         weights = [kernels[0][k]]
         for m in range(n_rest):
             weights.append(weights[-1] * axis_view(scatter[:, k], m, n_rest))
-        pairs = PairTable((z[k],) + rest, ext)
-        for m in range(n_rest):
-            pairs[(1, m + 2)] = axis_view(bond[k], m, n_rest)
         for table, slots in walks:
-            sigma = identity(n)
             for j in range(max(slots) + 1):
                 if j:
-                    table = exchange_update(j, sigma, table, pairs, ext)
-                    sigma = adjacent_swap(sigma, j)
+                    # letter j moves entry 1 past entry j + 1
+                    table = exchange_update(j, table, axis_view(bond[k], j - 1, n_rest), ext)
                 if j not in slots:
                     continue
                 for label, pi in enumerate(labelings):
@@ -516,8 +523,8 @@ def distribution_over_window(
     below leak_tol (or inside an explicit window).  A total mass outside
     [1 - leakage - MASS_TOL, 1 + MASS_TOL] is flagged with a warning: the
     node count is then too low for the window's values."""
-    y = tuple(y)
-    nu = tuple(nu)
+    y, nu = tuple(y), tuple(nu)
+    check_problem(y, nu, t)
     if window is None:
         window = window_for(y, t, leak_tol)
     targets = StateSpace.build(window, len(y), nu).configs()
@@ -558,8 +565,8 @@ def delta_recovery(
     report is returned failed."""
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
-    y = tuple(y)
-    nu = tuple(nu)
+    y, nu = tuple(y), tuple(nu)
+    check_problem(y, nu, 0.0)
     n = len(y)
     spec = _spec_for(spec, n)
     window = (min(y) - margin, max(y) + margin)

@@ -198,7 +198,10 @@ def test_schema_command_prints_everything(capsys):
     assert run(["schema"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"manifest", "problem", "reports", "csv"}
-    assert set(doc["reports"]) == set(cli.REPORT_SCHEMAS)
+    assert set(doc["reports"]) == set(cli.REPORT_SCHEMAS) == set(cli.COMMANDS)
+    # each schema is filed under the command its report names
+    for command, schema in doc["reports"].items():
+        assert schema["properties"]["command"] == {"const": command}
     # every published schema is itself valid under the draft it names
     jsonschema.Draft202012Validator.check_schema(doc["manifest"])
     jsonschema.Draft202012Validator.check_schema(doc["problem"])
@@ -432,6 +435,25 @@ BAD_INPUTS = [  # (manifest, what the error must name)
         {"command": "simulate", "p": 0.7, "t": float("nan"), "y": [0, 1], "trials": 10,
          "seed": 1},
         "got t = nan",
+    ),
+    # a site past int64 is refused by name, on the orbit or off it
+    (
+        {"command": "prob", "p": 0.7, "t": 0.5, "y": [0, 1], "nu": [1, 2],
+         "x": [1, 99999999999999999999], "pi": [2, 1]},
+        "((1, 99999999999999999999), (2, 1)): sites and species must be integers",
+    ),
+    (
+        {"command": "prob", "p": 0.7, "t": 0.5, "y": [0, 1], "nu": [1, 2],
+         "x": [1, 99999999999999999999], "pi": [2, 2]},
+        "((1, 99999999999999999999), (2, 2)): sites and species must be integers",
+    ),
+    # targets left of the start run with p and q swapped, whose pole bound
+    # refuses this radius
+    (
+        {"command": "prob", "p": 0.7, "t": 0.5, "y": [0, 1], "nu": [1, 1], "x": [-2, -1],
+         "radius": 0.5},
+        "radius 0.5 is refused by the mirrored half, where targets left of the start run "
+        "with p and q swapped (p = 0.3, q = 0.7)",
     ),
 ]
 

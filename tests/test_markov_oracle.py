@@ -12,6 +12,7 @@ from asep_exact import (
     RateParams,
     StateSpace,
     build_generator,
+    delta_recovery,
     distribution_over_window,
     oracle_distribution,
     sigma_summand,
@@ -288,6 +289,23 @@ def test_negative_time_names_t():
         # a single summand goes through the same engine entry point
         with pytest.raises(ValueError, match="nonnegative"):
             sigma_summand((0, 1), (0, 1), (2, 1), R07, t)
+
+
+@pytest.mark.parametrize("y, nu", [((0, 1.9), (1, 1)), ((0, 1), (1.0, 1)), ((0, True), (1, 1))])
+def test_start_off_the_integers_is_refused(y, nu):
+    # a site or species that is not an integer (a bool included) is refused
+    # before any entry point reads it, not truncated to a wrong number
+    named = "start sites and species must be integers"
+    with pytest.raises(ValueError, match=named):
+        transition_probability(y, nu, (1, 2), (1, 1), R07, 0.5)
+    with pytest.raises(ValueError, match=named):
+        distribution_over_window(y, nu, R07, 0.5)
+    with pytest.raises(ValueError, match=named):
+        delta_recovery(y, nu, R07)
+    with pytest.raises(ValueError, match=named):
+        oracle_distribution(y, nu, R07, 0.5)
+    with pytest.raises(ValueError, match=named):
+        simulate(y, nu, R07, 0.5, 10, 1)
 
 
 def test_poisson_tail_is_scipy_stats_survival_function():
