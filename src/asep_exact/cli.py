@@ -677,7 +677,7 @@ def cmd_verify_second_class(args) -> VerifySecondClassReport:
 
 def cmd_oracle(args) -> OracleReport:
     rates, t, y, nu, targets, window, _ = _problem_from(args)
-    # the engine checks prob's targets; the oracle only looks its own up
+    # the oracle only looks its targets up: check_problem checks them as it does the engine's
     check_problem(y, nu, t, targets or ())
     dist, used_window, leak = oracle_distribution(
         y, nu, rates, t, leak_tol=args.leak_tol, window=window

@@ -15,7 +15,8 @@ occupied region's hull can grow).
 The generator is assembled on integer arrays, not state by state.  The
 states are the product of a (C, N) array of site sets and the sorted
 species orbit; ``StateSpace.configs`` lists them as tuples, for the
-returned distribution and for the contour engine's windows.
+returned distribution, and ``StateSpace.batch`` as one (m, 2, N)
+integer array, for the contour engine's windows.
 Each state gets an int64 key that increases in state order (sites read
 as a base-W number, W the window width, then the orbit index), every
 (particle, direction) move is found for all states at once by shifts and
@@ -34,6 +35,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -53,30 +55,55 @@ DEFAULT_LEAK_TOL = 1e-10
 # site sets are enumerated.
 MAX_STATES = 1 << 22
 
+# Largest |site| or species label: at most 8 particles (the slab budget at
+# 8 nodes) keep every sum of sites, and the difference of two, in int64.
+MAX_SITE = 2**59
 
-def check_config(sites: tuple[int, ...], species: tuple[int, ...]) -> None:
-    if len(sites) != len(species):
+
+def check_config(sites, species) -> None:
+    """One configuration, or the rows of (m, N) arrays of them; the first
+    row whose sites are not strictly increasing is named."""
+    sites, species = np.atleast_2d(sites), np.atleast_2d(species)
+    if sites.shape != species.shape:
         raise ValueError("sites and species lengths differ")
-    if any(a >= b for a, b in zip(sites, sites[1:])):
-        raise ValueError(f"sites must be strictly increasing, got {sites}")
-    if any(s < 1 for s in species):
+    bad = np.flatnonzero((sites[:, 1:] <= sites[:, :-1]).any(axis=1))
+    if len(bad):
+        raise ValueError(f"sites must be strictly increasing, got {tuple(sites[bad[0]].tolist())}")
+    if (species < 1).any():
         raise ValueError("species labels must be positive integers")
 
 
-def check_problem(y, nu, t: float, targets=()) -> None:
-    """The start (y, nu), the time and each (sites, species) target, in
-    that order: the start's sites and species must be integers, and the
-    targets configurations of len(y) particles."""
+def check_problem(y, nu, t: float, targets=()) -> tuple[np.ndarray, np.ndarray]:
+    """Checks the start (y, nu), t and the targets (pairs or one (m, 2, N)
+    integer array) in that order; returns the targets' int64 (m, N) sites and
+    species.  An entry that is not an integer (a bool is not) or lies past
+    MAX_SITE is refused, naming its configuration."""
     if not all(map(_is_int, (*y, *nu))):
         raise ValueError(
             f"start sites and species must be integers, got y = {tuple(y)}, nu = {tuple(nu)}"
         )
-    check_config(tuple(y), tuple(nu))
+    check_config(y, nu)
     _check_time(t)
-    for sites, species in targets:
-        if len(sites) != len(y):
-            raise ValueError("target size differs from initial size")
-        check_config(tuple(sites), tuple(species))
+    n, listed = len(y), not isinstance(targets, np.ndarray)
+    if listed and set(map(len, chain(*targets))) - {n}:
+        x, _ = next(pair for pair in targets if set(map(len, pair)) - {n})
+        raise ValueError("target size differs from initial size" if len(x) != n
+                         else "sites and species lengths differ")
+    batch = np.asarray(targets).reshape(-1, 2, n)
+    # np.asarray reads a bool among ints as an int, so a list's entry types are read
+    kinds = set(map(type, chain(*chain(*targets)))) if listed else {batch.dtype.type}
+    ints = all(issubclass(kind, numbers.Integral) and kind is not bool for kind in kinds)
+    big = max(map(abs, (*y, *nu)), default=0) > MAX_SITE
+    if big or not ints or batch.min(initial=0) < -MAX_SITE or batch.max(initial=0) > MAX_SITE:
+        configs = [(y, nu), *(targets if listed else targets.tolist())]
+        bad = next(
+            (tuple(x), tuple(pi)) for x, pi in configs
+            if not all(_is_int(v) and -MAX_SITE <= v <= MAX_SITE for v in (*x, *pi))
+        )
+        raise ValueError(f"{bad}: sites and species must be integers of magnitude at most 2**59")
+    sites, species = batch.astype(np.int64, copy=False).transpose(1, 0, 2)
+    check_config(sites, species)
+    return sites, species
 
 
 def _is_int(value) -> bool:
@@ -98,8 +125,8 @@ class StateSpace:
     ``sites[k // len(orbit)]`` with the labeling ``orbit[k % len(orbit)]``.
     ``sites`` is a (C, N) int64 array of increasing site sets, ``orbit``
     the sorted species orders.  A window narrower than N holds no state;
-    one of more than MAX_STATES states, or with keys past int64, is a
-    ValueError before any state is enumerated."""
+    one that is not two integers lo <= hi, of more than MAX_STATES states
+    or with keys past int64 is a ValueError before any state is enumerated."""
 
     window: tuple[int, int]
     orbit: tuple[tuple[int, ...], ...]
@@ -107,6 +134,8 @@ class StateSpace:
 
     @classmethod
     def build(cls, window: tuple[int, int], n: int, nu: tuple[int, ...]) -> "StateSpace":
+        if len(window) != 2 or not all(map(_is_int, window)) or window[0] > window[1]:
+            raise ValueError(f"window {tuple(window)} is not two integers lo <= hi")
         lo, hi = window
         width = hi - lo + 1
         orders = math.factorial(n) // math.prod(
@@ -117,7 +146,7 @@ class StateSpace:
                 f"window {tuple(window)} is too wide for int64 state keys "
                 f"with {n} particles and {orders} species orders"
             )
-        count = math.comb(max(width, 0), n)
+        count = math.comb(width, n)
         if count * orders > MAX_STATES:
             raise ValueError(
                 f"window {tuple(window)} holds {count * orders:,} states with "
@@ -134,6 +163,11 @@ class StateSpace:
     def configs(self) -> list[Config]:
         """Every state as a (sites, species) tuple pair, in state order."""
         return list(itertools.product(map(tuple, self.sites.tolist()), self.orbit))
+
+    def batch(self) -> np.ndarray:
+        """Every state as one (m, 2, N) int64 array of sites then species."""
+        orbit = np.tile(np.array(self.orbit, np.int64), (len(self.sites), 1))
+        return np.stack([np.repeat(self.sites, len(self.orbit), axis=0), orbit], axis=1)
 
     def index(self, sites: tuple[int, ...], species: tuple[int, ...]) -> int:
         """The state number of one configuration of the space."""
@@ -305,6 +339,8 @@ def window_for(
     """Smallest symmetric window around the initial sites whose leakage
     bound is at most leak_tol."""
     _check_time(t)
+    if not leak_tol > 0:
+        raise ValueError(f"leak_tol must be positive, got leak_tol = {leak_tol}")
     n = len(y)
     delta = 1
     while leakage_bound(n, t, delta) > leak_tol:

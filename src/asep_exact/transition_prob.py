@@ -85,7 +85,6 @@ from .contour_quadrature import (
 from .markov_oracle import (
     DEFAULT_LEAK_TOL,
     StateSpace,
-    _is_int,
     build_generator,
     check_problem,
     window_for,
@@ -102,10 +101,6 @@ MASS_TOL = 1e-8
 # Cap on one slab's node-grid size, K^(N-1) points of extended-precision
 # complex.  64^3 fits comfortably; one more axis would not.
 MAX_SLAB_POINTS = 1 << 21
-
-# Largest |site| or species label: at most 8 particles (the slab budget at
-# 8 nodes) keep every sum of sites, and the difference of two, in int64.
-MAX_SITE = 2**59
 
 
 def _longdouble(value) -> np.longdouble:
@@ -237,30 +232,22 @@ def _evaluate(
     exactly 0.  Only the full sum is mirror invariant, so a partial sum
     keeps every target on the direct lattice.
 
-    A start or target with an entry that is not an integer or lies past
-    MAX_SITE, and a value that is not finite, are ValueErrors.  Full-sum
-    values outside [-MASS_TOL, 1 + MASS_TOL] are not probabilities: the
-    contour is starved or aliased there, and one UserWarning names how many.
+    The targets, pairs or one (m, 2, N) integer array, are checked by
+    ``check_problem`` alone; a value that is not finite is a ValueError.
+    Full-sum values outside [-MASS_TOL, 1 + MASS_TOL] are not probabilities:
+    the contour is starved or aliased there, and one UserWarning names how many.
     """
-    check_problem(y, nu, t, targets)
-    n = len(y)
-    spec = _spec_for(spec, n)
+    sites, species = check_problem(y, nu, t, targets)
+    spec = _spec_for(spec, len(y))
 
-    configs = [(y, nu), *targets]
-    batch = np.array(configs)
-    # a float, or an int past int64, makes a float or object batch
-    if batch.dtype.kind != "i" or batch.min() < -MAX_SITE or batch.max() > MAX_SITE:
-        bad = next(
-            (tuple(x), tuple(pi)) for x, pi in configs
-            if not all(_is_int(v) and -MAX_SITE <= v <= MAX_SITE for v in (*x, *pi))
-        )
-        raise ValueError(f"{bad}: sites and species must be integers of magnitude at most 2**59")
-    sites, species = batch[1:].astype(np.int64).transpose(1, 0, 2)
+    def target(k):
+        return tuple(sites[k].tolist()), tuple(species[k].tolist())
+
     live = (np.sort(species, axis=1) == sorted(nu)).all(axis=1)
     split = sum(y) if permutations is None else -np.inf
     direct = live & (sites.sum(axis=1) >= split)
     left = live & ~direct
-    values = np.zeros(len(targets), dtype=np.longdouble)
+    values = np.zeros(len(sites), dtype=np.longdouble)
     mirror_radius = None
     # an overflowing contour shows up as a non-finite value, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -286,7 +273,7 @@ def _evaluate(
     if len(bad):
         raise ValueError(
             f"{len(bad)} of {len(out)} values are not finite, e.g. at target "
-            f"{targets[bad[0]]} (t = {t}, {spec.nodes} nodes)"
+            f"{target(bad[0])} (t = {t}, {spec.nodes} nodes)"
         )
     if permutations is None:
         off = np.flatnonzero((out < -MASS_TOL) | (out > 1 + MASS_TOL))
@@ -295,7 +282,7 @@ def _evaluate(
             warnings.warn(
                 f"{len(off)} of {len(out)} values lie outside [-{MASS_TOL:g}, "
                 f"1 + {MASS_TOL:g}]; worst {out[worst]:.6g} at target "
-                f"{targets[worst]}, {spec.nodes} nodes",
+                f"{target(worst)}, {spec.nodes} nodes",
                 stacklevel=3,
             )
     return Evaluation(values=tuple(out.tolist()), quadrature=spec.quadrature(radius, mirror_radius))
@@ -527,8 +514,8 @@ def distribution_over_window(
     check_problem(y, nu, t)
     if window is None:
         window = window_for(y, t, leak_tol)
-    targets = StateSpace.build(window, len(y), nu).configs()
-    evaluation = _evaluate(y, nu, targets, rates, t, spec)
+    batch = StateSpace.build(window, len(y), nu).batch()
+    evaluation = _evaluate(y, nu, batch, rates, t, spec)
     report = DistributionReport(
         initial_sites=y,
         initial_species=nu,
@@ -537,7 +524,7 @@ def distribution_over_window(
         quadrature=evaluation.quadrature,
         window=window,
         leakage=window_leakage(y, t, window),
-        values=tuple(_target_values(targets, evaluation)),
+        values=tuple(_target_values(batch.tolist(), evaluation)),
     )
     mass = report.total_mass
     if not 1 - report.leakage - MASS_TOL <= mass <= 1 + MASS_TOL:
@@ -563,22 +550,20 @@ def delta_recovery(
     count until the worst deviation from the Kronecker delta passes tol.
     When the node cap or the slab budget stops the doubling first, the
     report is returned failed."""
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    if not isinstance(margin, numbers.Integral) or isinstance(margin, bool) or margin < 0:
+        raise ValueError(f"margin must be a nonnegative integer, got {margin!r}")
     y, nu = tuple(y), tuple(nu)
     check_problem(y, nu, 0.0)
     n = len(y)
     spec = _spec_for(spec, n)
     window = (min(y) - margin, max(y) + margin)
-    targets = StateSpace.build(window, n, nu).configs()
+    batch = StateSpace.build(window, n, nu).batch()
+    at_start = (batch == (y, nu)).all(axis=(1, 2))
     nodes, radius = spec.nodes, spec.radius
     while True:
         run_spec = ContourSpec(nodes=nodes, radius=radius, dimension=n)
-        evaluation = _evaluate(y, nu, targets, rates, 0.0, run_spec)
-        worst = 0.0
-        for (x, pi), v in zip(targets, evaluation.values):
-            want = 1.0 if (x == y and pi == nu) else 0.0
-            worst = max(worst, abs(v - want))
+        evaluation = _evaluate(y, nu, batch, rates, 0.0, run_spec)
+        worst = float(abs(np.subtract(evaluation.values, at_start)).max())
         if (
             worst <= tol
             or nodes >= MAX_NODES
@@ -659,12 +644,9 @@ def master_equation_residual(
     column = build_generator(space, rates)[:, [k]].toarray().ravel()
     exit_rate, column[k] = -float(column[k]), 0.0
     rows = np.flatnonzero(column)
-    size = len(space.orbit)
-    sources = [
-        (tuple((space.sites[r // size] - local + x).tolist()), space.orbit[r % size])
-        for r in rows.tolist()
-    ]
-    here = _evaluate(y, nu, sources + [(x, pi)], rates, t, spec).values
+    sources = space.batch()[rows]
+    sources[:, 0] += np.subtract(x, local)
+    here = _evaluate(y, nu, np.concatenate([sources, [(x, pi)]]), rates, t, spec).values
     plus = _evaluate(y, nu, [(x, pi)], rates, t + dt, spec).values[0]
     minus = _evaluate(y, nu, [(x, pi)], rates, t - dt, spec).values[0]
     lhs = (plus - minus) / (2 * dt)

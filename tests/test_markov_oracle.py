@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,8 @@ def test_check_config_rejects_bad_input():
         check_config((0, 1), (1,))
     with pytest.raises(ValueError):
         check_config((0, 1), (1, 0))
+    with pytest.raises(ValueError, match=r"strictly increasing, got \(2, 1\)"):
+        check_config(np.array([[0, 1], [2, 1], [3, 0]]), np.ones((3, 2), np.int64))
 
 
 def test_single_step_moves_blocking_and_priority():
@@ -124,6 +127,9 @@ def test_state_space_indexing():
     empty = StateSpace.build((3, 3), 2, (1, 2))
     assert empty.sites.shape == (0, 2)
     assert empty.configs() == []
+    assert [s.batch().tolist() for s in (space, empty)] == [
+        np.array(s.configs()).tolist() for s in (space, empty)
+    ]
 
 
 def test_generator_conserves_window_mass():
@@ -316,3 +322,39 @@ def test_poisson_tail_is_scipy_stats_survival_function():
     for t in np.logspace(-6, 2, 41):
         for delta in range(1, 400, 7):
             assert poisson_tail(float(t), delta) == float(poisson.sf(delta - 1, float(t)))
+
+
+@pytest.mark.parametrize("window", [(4, -3), (-3.5, 4), (-3, True)])
+def test_window_off_the_integers_or_reversed_is_refused(window):
+    # a reversed window held no state and returned mass 0 silently, a float
+    # one failed in range(), and True was read as 1
+    named = re.escape(f"window {window} is not two integers lo <= hi")
+    with pytest.raises(ValueError, match=named):
+        StateSpace.build(window, 2, (1, 1))
+    with pytest.raises(ValueError, match=named):
+        distribution_over_window((0, 1), (1, 1), R07, 0.5, window=window)
+    with pytest.raises(ValueError, match=r"window \("):
+        oracle_distribution((0, 1), (1, 1), R07, 0.5, window=window)
+
+
+def test_window_narrower_than_the_particles_stays_empty():
+    # legal and empty: it leaves the start out, so its leakage bound is 1
+    report = distribution_over_window((0, 1), (1, 1), R07, 0.5, window=(3, 3))
+    assert report.values == () and report.leakage == 1.0
+
+
+@pytest.mark.parametrize("margin", [1.5, True, -1])
+def test_margin_off_the_nonnegative_integers_is_refused(margin):
+    with pytest.raises(ValueError, match=f"margin must be a nonnegative integer, got {margin}"):
+        delta_recovery((0, 1), (1, 1), R07, margin=margin)
+
+
+@pytest.mark.parametrize("leak_tol", [float("nan"), 0.0, -1.0])
+def test_leak_tol_that_bounds_nothing_is_refused(leak_tol):
+    # nan bounded nothing, 0 drove the window out to 128 sites, and -1
+    # searched 10,000 sites before it was refused
+    named = f"leak_tol must be positive, got leak_tol = {leak_tol}"
+    with pytest.raises(ValueError, match=named):
+        distribution_over_window((0, 1), (1, 1), R07, 0.5, leak_tol=leak_tol)
+    with pytest.raises(ValueError, match=named):
+        oracle_distribution((0, 1), (1, 1), R07, 0.5, leak_tol=leak_tol)

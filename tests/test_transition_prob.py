@@ -294,11 +294,15 @@ def test_values_off_the_unit_interval_warn_and_non_finite_ones_raise():
     ((1, 2**63), r"\(\(1, 9223372036854775808\), \(1, 1\)\)"),
     ((-(2**63), 1), r"\(\(-9223372036854775808, 1\), \(1, 1\)\)"),
     ((1, 2**59 + 1), r"\(\(1, 576460752303423489\), \(1, 1\)\)"),
+    ((0, True), r"\(\(0, True\), \(1, 1\)\)"),
+    (((0, 1), (True, 2)), r"\(\(0, 1\), \(True, 2\)\)"),
 ])
 def test_target_off_the_integers_or_past_the_site_bound_is_refused(x, named):
-    # a float site is not truncated, and a site past 2**59 (whose sums
-    # could leave int64) is not cast: each is refused by name
-    targets = [((1, 2), (1, 1)), (x, (1, 1))]
+    # a float or bool site or species is not read as an integer, and a site
+    # past 2**59 (whose sums could leave int64) is not cast: each is refused
+    # by name.  x is the target's sites, or the whole target
+    target = x if isinstance(x[0], tuple) else (x, (1, 1))
+    targets = [((1, 2), (1, 1)), target]
     with pytest.raises(ValueError, match=named + ": sites and species must be integers"):
         transition_probabilities((0, 1), (1, 1), targets, R07, 0.5)
     assert transition_probability((0, 1), (1, 1), (1, 2**59), (1, 1), R07, 0.5) == 0.0
@@ -534,6 +538,18 @@ MIXED_BATCH = [
 ]
 MIXED_LEFT = [1, 4]
 MIXED_SPEC = ContourSpec(nodes=16, dimension=3)
+
+
+def test_window_is_the_listed_batch_bit_for_bit():
+    # the window's array batch and the same targets listed as pairs run the
+    # same engine on the same int64 arrays, on both halves
+    y, nu = MIXED_START
+    space = StateSpace.build((-3, 5), len(y), nu)
+    report = distribution_over_window(y, nu, R07, 0.5, window=(-3, 5), spec=MIXED_SPEC)
+    listed = transition_probabilities(y, nu, space.configs(), R07, 0.5, MIXED_SPEC)
+    assert report.quadrature.mirror_radius is not None
+    assert [(v.sites, v.species) for v in report.values] == space.configs()
+    assert _same_bits([v.value for v in report.values], [v.value for v in listed])
 
 
 def test_batch_order_is_bookkeeping_only():
