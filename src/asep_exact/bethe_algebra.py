@@ -38,6 +38,10 @@ class RateParams:
     q: object
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.p, self.q)):
+            raise ValueError(
+                f"rates must be numbers, not bools, got p = {self.p}, q = {self.q}"
+            )
         if self.p == 0:
             raise ValueError(
                 "p = 0 violates the p != 0 hypothesis behind every contour "

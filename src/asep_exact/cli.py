@@ -452,8 +452,6 @@ def _problem_from(args):
     if "targets" in doc:
         targets = [(tuple(row["X"]), tuple(row["pi"])) for row in doc["targets"]]
     window = tuple(doc["window"]) if "window" in doc else None
-    if window is not None and window[0] > window[1]:
-        raise UsageError(f"window must be lo,hi with lo <= hi, got {list(window)}")
     spec = _spec_from(args, len(y), doc.get("quad"))
     return _parse_rate(doc["p"]), float(doc["t"]), y, nu, targets, window, spec
 

@@ -29,6 +29,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -129,6 +130,8 @@ class ContourSpec:
     dimension: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.nodes, numbers.Integral) or isinstance(self.nodes, bool):
+            raise ValueError(f"nodes must be an integer, got nodes = {self.nodes!r}")
         if self.nodes < 8 or self.nodes % 2 or self.nodes > MAX_NODES:
             raise ValueError(f"nodes must be even, at least 8 and at most {MAX_NODES}")
         if self.radius is not None and self.radius <= 0:

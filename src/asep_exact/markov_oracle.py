@@ -329,6 +329,8 @@ def window_leakage(y: tuple[int, ...], t: float, window: tuple[int, int]) -> flo
 
 
 def _check_time(t: float) -> None:
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"time must be a real number, not a bool, got t = {t}")
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and nonnegative, got t = {t}")
 
@@ -368,10 +370,11 @@ def oracle_distribution(
     check_problem(y, nu, t)
     if window is None:
         window = window_for(y, t, leak_tol)
-    elif not window[0] <= min(y) <= max(y) <= window[1]:
+    # the window's form is checked first, so a reversed one is named as such
+    space = StateSpace.build(window, len(y), nu)
+    if not window[0] <= min(y) <= max(y) <= window[1]:
         raise ValueError(
             f"window {tuple(window)} does not contain the start sites {tuple(y)}"
         )
-    space = StateSpace.build(window, len(y), nu)
     dist = expm_action(build_generator(space, rates), t, space.index(y, nu))
     return dict(zip(space.configs(), dist.tolist())), window, window_leakage(y, t, window)

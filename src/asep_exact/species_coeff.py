@@ -11,10 +11,12 @@ built by walking any word for sigma with one exchange operator per letter:
 
 where S is the scattering factor at the bond, alpha is 0 / p / q as the
 two labels at the bond are equal / ascending / descending, and beta the
-same with p and q interchanged.  The walk starts from the point mass at nu
-above the identity.  Words compose associatively and satisfy the braid
-relations, so the result is word-independent; ``check_braid_relations``
-verifies that exactly on rational inputs.
+same with p and q interchanged.  The two labelings of a pair {pi,
+swap_i(pi)} get opposite increments, so ``exchange_update`` computes one
+per pair.  The walk starts from the point mass at nu above the identity.
+Words compose associatively and satisfy the braid relations, so the
+result is word-independent; ``check_braid_relations`` verifies that
+exactly on rational inputs.
 
 Each letter is given its bond factor 1 + S; its caller reads it at the
 two entries the letter exchanges.  A point has only N(N-1) ordered pairs,
@@ -158,25 +160,22 @@ def exchange_update(i: int, h: CoeffTable, c, rates: RateParams, scale: int = 1)
     in slots i and i+1, and the returned table sits above
     adjacent_swap(sigma, i).
 
-    At ``scale`` D, with an integer bond and rates of
-    ``PairTable.over_common_denominator``, each entry becomes
-    D h(pi) + c (alpha h(swap pi) - beta h(pi)): D times the exact letter,
-    in ``int``.  At scale 1 the letter is the plain one, with the same
-    operations in the same order."""
-    support = set(h)
-    support.update(label_swap(pi, i) for pi in h)
-    out: CoeffTable = {}
-    for pi in support:
-        alpha, beta = swap_rates(i, pi, rates)
-        value = h.get(pi, 0)
-        kept = value if scale == 1 else scale * value
-        if alpha != 0 or beta != 0:
-            value = kept + c * (alpha * h.get(label_swap(pi, i), 0) - beta * value)
-        else:
-            value = kept
-        if not _is_zero_scalar(value):
-            out[pi] = value
-    return out
+    Per pair {low, high = swap_i(low)} with low ascending at bond i,
+    d = c (p h(high) - q h(low)) moves from high to low; high's formula
+    increment c (q h(low) - p h(high)) is -d bit for bit (but for the sign
+    of an exact zero), as IEEE arithmetic rounds symmetrically in sign.  At
+    ``scale`` D, with an integer bond and rates of ``over_common_denominator``,
+    each entry keeps D h(pi): D times the exact letter, in ``int``."""
+    out = dict(h) if scale == 1 else {pi: scale * v for pi, v in h.items()}
+    for low in h:
+        high = label_swap(low, i)
+        if low[i - 1] > low[i] and high not in h:
+            low, high = high, low  # the pair's ascending member is missing
+        if low[i - 1] < low[i]:
+            d = c * (rates.p * h.get(high, 0) - rates.q * h.get(low, 0))
+            out[low] = out.get(low, 0) + d
+            out[high] = out.get(high, 0) - d
+    return _cleaned(out)
 
 
 def braid_apply(

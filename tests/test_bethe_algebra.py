@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from asep_exact import (
@@ -36,6 +37,12 @@ def test_rate_validation():
         RateParams.from_p(1.2)
     with pytest.raises(ValueError):
         RateParams(0.5, 0.4)
+    # a bool is not read as p = 1 or q = 0
+    for p in (True, np.True_):
+        with pytest.raises(ValueError, match="got p = True, q = 0"):
+            RateParams.from_p(p)
+    with pytest.raises(ValueError, match="got p = 1, q = False"):
+        RateParams(1, False)
 
 
 def test_p_zero_message_names_the_hypothesis():

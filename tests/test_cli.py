@@ -272,6 +272,22 @@ def test_prob_rejects_targets_and_window_together(capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["prob"],
+    ["oracle"],
+    ["compare", "--trials", "10", "--seed", "1", "--reference", "oracle"],
+    ["compare", "--trials", "10", "--seed", "1", "--reference", "formula"],
+])
+def test_reversed_window_gets_the_library_message(command, capsys):
+    # one check, the state space's, names a reversed window for every command
+    argv = command[:1] + ["--p", "0.7", "--t", "0.5", "--y", "0,1", "--nu", "2,1",
+                          "--window", "4,-3"] + command[1:]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "asep-exact: error: window (4, -3) is not two integers lo <= hi\n"
+
+
 def test_simulate_and_compare_reports_match_schemas(tmp_path):
     sim_out, sim_csv = tmp_path / "sim.json", tmp_path / "sim.csv"
     code = run(

@@ -83,6 +83,11 @@ def test_contour_spec_validation():
         ContourSpec(radius=-0.1)
     with pytest.raises(ValueError):
         ContourSpec(dimension=0)
+    # a float node count failed later, indexing the node grid
+    for nodes in (64.0, True):
+        with pytest.raises(ValueError, match=f"got nodes = {nodes}"):
+            ContourSpec(nodes=nodes)
+    assert ContourSpec(nodes=np.int64(32)).nodes == 32
 
 
 def node_grid_mean(f, radius, nodes, n):

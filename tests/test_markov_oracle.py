@@ -276,8 +276,8 @@ def test_window_for_controls_leakage():
 def test_negative_time_names_t():
     # with or without an explicit window, a negative or non-finite time is
     # a ValueError about t, not a search for a window that cannot exist, a
-    # silent nan or an empty distribution
-    for t in (-0.3, math.nan, math.inf):
+    # silent nan or an empty distribution; True is not read as t = 1
+    for t in (-0.3, math.nan, math.inf, True, np.True_):
         named = f"got t = {t}"
         with pytest.raises(ValueError, match=named):
             window_for((0, 1), t)
@@ -285,7 +285,7 @@ def test_negative_time_names_t():
             transition_probability((0, 1), (1, 2), (0, 1), (1, 2), R05, t)
         with pytest.raises(ValueError, match=named):
             distribution_over_window((0, 1), (1, 2), R05, t)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match=named):
             distribution_over_window((0, 1), (1, 2), R05, t, window=(-2, 3))
         for window in (None, (-2, 3)):
             with pytest.raises(ValueError, match=named):
@@ -293,7 +293,7 @@ def test_negative_time_names_t():
         with pytest.raises(ValueError, match=named):
             simulate((0, 1), (1, 2), R05, t, 10, 1)
         # a single summand goes through the same engine entry point
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=named):
             sigma_summand((0, 1), (0, 1), (2, 1), R07, t)
 
 
@@ -333,7 +333,7 @@ def test_window_off_the_integers_or_reversed_is_refused(window):
         StateSpace.build(window, 2, (1, 1))
     with pytest.raises(ValueError, match=named):
         distribution_over_window((0, 1), (1, 1), R07, 0.5, window=window)
-    with pytest.raises(ValueError, match=r"window \("):
+    with pytest.raises(ValueError, match=named):
         oracle_distribution((0, 1), (1, 1), R07, 0.5, window=window)
 
 

@@ -8,6 +8,7 @@ point set after changing p needs a fresh pole check).
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from asep_exact import (
@@ -28,6 +29,7 @@ from asep_exact.permutations import (
     reduced_words,
 )
 from asep_exact import species_coeff
+from asep_exact.contour_quadrature import axis_view
 from asep_exact.species_coeff import (
     PairTable,
     braid_apply,
@@ -263,3 +265,86 @@ def test_sweeps_reject_bad_seed(sweep, seed):
     # the same check simulate makes, before any stream is keyed
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         sweep(seed)
+
+
+# --- the letter against its defining formula -------------------------------
+
+
+def per_entry_letter(i, h, c, rates, scale=1):
+    """The exchange letter entry by entry, as its formula reads: every
+    labeling pi of h or next to one gets
+    D h(pi) + c (alpha(pi) h(swap_i(pi)) - beta(pi) h(pi))."""
+    support = set(h)
+    support.update(species_coeff.label_swap(pi, i) for pi in h)
+    out = {}
+    for pi in support:
+        alpha, beta = species_coeff.swap_rates(i, pi, rates)
+        value = h.get(pi, 0)
+        kept = value if scale == 1 else scale * value
+        if alpha != 0 or beta != 0:
+            swapped = h.get(species_coeff.label_swap(pi, i), 0)
+            value = kept + c * (alpha * swapped - beta * value)
+        else:
+            value = kept
+        if not species_coeff._is_zero_scalar(value):
+            out[pi] = value
+    return out
+
+
+# x87 extended precision fills 10 of the 16 bytes a longdouble is stored
+# in; arithmetic leaves the other 6 undefined
+LONG_BYTES = 10 if np.finfo(np.longdouble).nmant == 63 else np.dtype(np.longdouble).itemsize
+
+
+def significant_bytes(a):
+    """The real and imaginary parts of a clongdouble array as bytes,
+    without their padding."""
+    parts = np.ascontiguousarray(np.stack([a.real, a.imag]))
+    return parts.view(np.uint8).reshape(parts.size, -1)[:, :LONG_BYTES].tobytes()
+
+
+# (2, 1, 2, 1)'s orbit without (1, 2, 1, 2) and (2, 2, 1, 1): at every bond
+# some labelings have equal labels there and some pairs lack one member
+# (the ascending one at bond 1, the descending one at bond 2)
+PARTIAL_ORBIT = sorted(set(species_orbit((2, 1, 2, 1))) - {(1, 2, 1, 2), (2, 2, 1, 1)})
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
+def test_letter_matches_its_formula_bitwise_on_planes(p):
+    # clongdouble planes and a bond broadcast along one axis, as the
+    # contour engine passes them
+    rng = np.random.default_rng(11)
+    nodes, n_rest = 6, 3
+
+    def plane(shape):
+        parts = rng.standard_normal((2,) + shape)
+        return (parts[0] + 1j * parts[1]).astype(np.clongdouble)
+
+    rates = RateParams.from_p(np.longdouble(p))
+    h = {pi: plane((nodes,) * n_rest) for pi in PARTIAL_ORBIT}
+    before = {pi: v.copy() for pi, v in h.items()}
+    for i in range(1, 4):
+        c = axis_view(plane((nodes,)), i - 1, n_rest)
+        got = species_coeff.exchange_update(i, h, c, rates)
+        want = per_entry_letter(i, h, c, rates)
+        assert got.keys() == want.keys(), i
+        for pi, value in want.items():
+            assert got[pi].dtype == value.dtype and got[pi].shape == value.shape, (i, pi)
+            assert significant_bytes(got[pi]) == significant_bytes(value), (i, pi)
+        # the input table and its planes are left as they were
+        assert h.keys() == before.keys()
+        for pi, value in before.items():
+            assert significant_bytes(h[pi]) == significant_bytes(value), (i, pi)
+
+
+def test_letter_matches_its_formula_in_integers_at_scale():
+    # the braid check's walk: integer bonds and rates over one common D
+    bonds, rates, scale = PairTable(XI5[:4], RATES).over_common_denominator()
+    h = {pi: 7 * k - 14 for k, pi in enumerate(PARTIAL_ORBIT)}  # one entry is 0
+    before = dict(h)
+    for i in range(1, 4):
+        for c in (bonds[(i, i + 1)], bonds[(i + 1, i)]):
+            got = species_coeff.exchange_update(i, h, c, rates, scale)
+            assert got == per_entry_letter(i, h, c, rates, scale), (i, c)
+            assert all(type(v) is int for v in got.values())
+        assert h == before
