@@ -42,7 +42,7 @@ print("\n== balancing accuracy against the pole bound ==")
 rates = RateParams.from_p(0.7)
 print("  deeper negative exponents and longer times pull the radius up:")
 for t, min_exponent in ((1.0, 0), (1.0, -10), (1.0, -25), (3.0, -10)):
-    r = balanced_radius(rates, t, min_exponent, max_inversions=1, n_axes=2)
+    r = balanced_radius(rates, t, min_exponent, n=2)
     print(f"    t = {t}, worst exponent {min_exponent}: radius {r:.6f}")
 
 print("\n== node count vs accuracy, measured ==")
@@ -51,7 +51,7 @@ print("\n== node count vs accuracy, measured ==")
 y, nu, t, window = (0, 1), (1, 1), 1.0, (-4, 5)
 truth, _, _ = oracle_distribution(y, nu, rates, t)
 for nodes in (8, 16, 32, 64):
-    spec = ContourSpec(nodes=nodes, dimension=2)
+    spec = ContourSpec(nodes=nodes)
     report = distribution_over_window(y, nu, rates, t, window=window, spec=spec)
     worst = max(
         abs(tv.value - truth[(tv.sites, tv.species)]) for tv in report.values

@@ -16,8 +16,9 @@ callers re-randomize or shrink the contour rather than continue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Rational
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -28,6 +29,14 @@ POLE_GUARD = 1e-13
 
 class BethePoleError(ArithmeticError):
     """Scattering denominator vanished (or nearly did) at an evaluation point."""
+
+
+def _check_positive(name: str, value) -> None:
+    """A tolerance, threshold or radius: a finite positive real number, of
+    which a bool is not one (numpy's bool is no Real at all)."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite positive number, got {name} = {value!r}")
 
 
 @dataclass(frozen=True)

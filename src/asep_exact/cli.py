@@ -409,11 +409,11 @@ def _load_json(path, schema, what):
     return doc
 
 
-def _spec_from(args, n, quad=None) -> ContourSpec:
+def _spec_from(args, quad=None) -> ContourSpec:
     """Contour settings from the --nodes/--radius flags a command has,
     overridden by a problem's ``quad`` entries."""
     settings = {k: getattr(args, k) for k in ("nodes", "radius") if hasattr(args, k)}
-    return ContourSpec(dimension=n, **{**settings, **(quad or {})})
+    return ContourSpec(**{**settings, **(quad or {})})
 
 
 _PROBLEM_FLAGS = ("p", "t", "y", "nu", "x", "pi", "window")
@@ -452,7 +452,7 @@ def _problem_from(args):
     if "targets" in doc:
         targets = [(tuple(row["X"]), tuple(row["pi"])) for row in doc["targets"]]
     window = tuple(doc["window"]) if "window" in doc else None
-    spec = _spec_from(args, len(y), doc.get("quad"))
+    spec = _spec_from(args, doc.get("quad"))
     return _parse_rate(doc["p"]), float(doc["t"]), y, nu, targets, window, spec
 
 
@@ -567,7 +567,7 @@ def cmd_verify_delta(args) -> VerifyDeltaReport:
     rates = _parse_rate(args.p)
     y = args.y
     nu = args.nu or (1,) * len(y)
-    spec = _spec_from(args, len(y))
+    spec = _spec_from(args)
     rep = delta_recovery(y, nu, rates, margin=args.margin, tol=args.quad_tol, spec=spec)
     _verdict(
         args,
@@ -614,7 +614,7 @@ def cmd_verify_b_classes(args) -> VerifyBClassesReport:
     n = len(y)
     if n < 2:
         raise UsageError("verify-b-classes needs at least 2 particles")
-    spec = _spec_from(args, n)
+    spec = _spec_from(args)
     ones = (1,) * n
     classes = []
     for entries, members in sorted(

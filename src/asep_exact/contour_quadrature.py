@@ -10,7 +10,8 @@ that needs q*r^2 + r < p, i.e. r below the positive root
 ``balanced_radius`` minimizes a magnitude bound over admissible radii,
 which matters when targets sit far to the left of the initial
 configuration and the integrand grows like r**(negative exponent).
-A ``ContourSpec`` is what a caller asks for; a ``Quadrature`` is what
+A ``ContourSpec`` is what a caller asks for and decides each half's radius,
+pole-bound check and slab budget (``radius_for``); a ``Quadrature`` is what
 actually ran: the nodes, the radius each half used and how it was chosen.
 
 Discretization: K equispaced nodes per circle (``node_points``) turn each
@@ -35,7 +36,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bethe_algebra import RateParams
+from .bethe_algebra import RateParams, _check_positive
 
 LONG_PI = np.longdouble("3.141592653589793238462643383279502884")
 
@@ -43,6 +44,9 @@ DEFAULT_NODES = 64
 # Each contour half holds a K x K scattering matrix of extended-precision
 # complex, K^2 * 32 bytes: 32 MiB at this cap.
 MAX_NODES = 1024
+# Cap on one slab's node-grid size, K^(N-1) points of extended-precision
+# complex.  64^3 fits comfortably; one more axis would not.
+MAX_SLAB_POINTS = 1 << 21
 
 
 def admissible_radius_bound(rates: RateParams) -> float:
@@ -55,20 +59,16 @@ def admissible_radius_bound(rates: RateParams) -> float:
 
 
 def balanced_radius(
-    rates: RateParams,
-    t: float,
-    min_exponent: int,
-    max_inversions: int,
-    n_axes: int,
-    nodes: int = DEFAULT_NODES,
+    rates: RateParams, t: float, min_exponent: int, n: int, nodes: int = DEFAULT_NODES
 ) -> float:
-    """Admissible radius minimizing a crude quadrature error bound.
+    """Admissible radius minimizing a crude quadrature error bound for n
+    particles.
 
     The error has two parts, both proportional to the summand magnitude
     scale M(r) = r**min_exponent (worst total power of the target
     monomials against the initial-position factors) times the time factor
-    exp((p/r + q r - 1) * n * t) times a per-inversion scattering ratio
-    f_max/f_min:
+    exp((p/r + q r - 1) * n * t) times the scattering ratio f_max/f_min
+    once per inversion, of which a permutation has at most n(n-1)/2:
 
       * roundoff, eps * M(r): pushes r toward the magnitude minimum;
       * trapezoid aliasing, decaying like (r / rho)**nodes with rho the
@@ -86,8 +86,8 @@ def balanced_radius(
     f_hi = p + grid + q * grid**2
     log_scale = (
         min_exponent * np.log(grid)
-        + (p / grid + q * grid - 1) * n_axes * max(t, 0.0)
-        + max_inversions * np.log(f_hi / f_lo)
+        + (p / grid + q * grid - 1) * n * max(t, 0.0)
+        + n * (n - 1) // 2 * np.log(f_hi / f_lo)
     )
     # nearest scattering pole over both arguments of the pair factor
     rho = p / (1 + q * grid)
@@ -119,40 +119,65 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Quadrature settings: nodes per axis, common radius, axis count.
+    """Quadrature settings: nodes per axis and the common radius.
 
-    radius=None means the balanced radius, picked once the rates and
-    targets are known.
+    radius=None means the balanced radius, picked for each half once the
+    rates and targets are known.  dimension=None takes the particle count
+    from the start; any other value must equal it.
     """
 
     nodes: int = DEFAULT_NODES
     radius: float | None = None
-    dimension: int = 1
+    dimension: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.nodes, numbers.Integral) or isinstance(self.nodes, bool):
             raise ValueError(f"nodes must be an integer, got nodes = {self.nodes!r}")
         if self.nodes < 8 or self.nodes % 2 or self.nodes > MAX_NODES:
             raise ValueError(f"nodes must be even, at least 8 and at most {MAX_NODES}")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.dimension < 1:
+        if self.radius is not None:
+            _check_positive("radius", self.radius)
+        if self.dimension is not None and self.dimension < 1:
             raise ValueError("dimension must be at least 1")
 
-    def quadrature(
-        self, radius: float | None, mirror_radius: float | None = None
-    ) -> Quadrature:
+    @staticmethod
+    def fits(nodes: int, n: int) -> bool:
+        """Whether n particles can run on ``nodes`` nodes per axis: at most
+        MAX_NODES, and one slab, nodes^(n-1) points, within MAX_SLAB_POINTS."""
+        return nodes <= MAX_NODES and nodes ** (n - 1) <= MAX_SLAB_POINTS
+
+    def radius_for(
+        self, rates: RateParams, t: float, min_exponent: int, n: int, mirrored: bool = False
+    ) -> float | np.longdouble:
+        """The radius of one half of an n-particle run whose lowest target
+        exponent is min_exponent: the explicit one, or the balanced one.
+        An explicit radius outside the half's pole bound is a ValueError, in
+        the mirrored half's own words when ``mirrored`` (``rates`` then have
+        p and q swapped); after it, so is a node grid ``fits`` refuses."""
+        if self.radius is None:
+            radius = balanced_radius(rates, t, min_exponent, n, nodes=self.nodes)
+        else:
+            radius, bound = np.longdouble(self.radius), admissible_radius_bound(rates)
+            if not radius < bound:
+                raise ValueError(
+                    f"radius {self.radius} is refused by the mirrored half, where targets left "
+                    f"of the start run with p and q swapped (p = {float(rates.p):g}, "
+                    f"q = {float(rates.q):g}): its pole bound is {bound:g}"
+                    if mirrored
+                    else f"radius {float(radius)} is not strictly inside the pole bound "
+                    f"{bound} for p={rates.p}"
+                )
+        if not self.fits(self.nodes, n):
+            raise ValueError(
+                f"node grid K^(N-1) = {self.nodes}^{n - 1} exceeds the slab budget; "
+                "lower the node count or the particle count"
+            )
+        return radius
+
+    def quadrature(self, radius: float | None, mirror_radius: float | None = None) -> Quadrature:
         """The record of a run on this spec with the radii each half used."""
         rule = "balanced" if self.radius is None else "explicit"
         return Quadrature(self.nodes, radius, rule, mirror_radius)
-
-
-def assert_admissible(radius: float, rates: RateParams) -> None:
-    if not 0 < radius < admissible_radius_bound(rates):
-        raise ValueError(
-            f"radius {radius} is not strictly inside the pole bound "
-            f"{admissible_radius_bound(rates)} for p={rates.p}"
-        )
 
 
 def node_points(radius: float, nodes: int) -> np.ndarray:

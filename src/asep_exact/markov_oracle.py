@@ -41,7 +41,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import pdtrc
 
-from .bethe_algebra import RateParams
+from .bethe_algebra import RateParams, _check_positive
 from .permutations import species_orbit
 
 Config = tuple[tuple[int, ...], tuple[int, ...]]  # (sites, species), both tuples
@@ -341,8 +341,7 @@ def window_for(
     """Smallest symmetric window around the initial sites whose leakage
     bound is at most leak_tol."""
     _check_time(t)
-    if not leak_tol > 0:
-        raise ValueError(f"leak_tol must be positive, got leak_tol = {leak_tol}")
+    _check_positive("leak_tol", leak_tol)
     n = len(y)
     delta = 1
     while leakage_bound(n, t, delta) > leak_tol:

@@ -30,7 +30,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .bethe_algebra import RateParams
+from .bethe_algebra import RateParams, _check_positive
 from .markov_oracle import Config, _is_int, check_problem, check_seed
 
 _BLOCK = 1 << 14  # values per numpy call on each stream; changes no output
@@ -155,6 +155,8 @@ def compare(
     trial lands in it.  An observed cell missing from the reference with
     empirical mass above STRAY_MASS_TOL means the reference does not
     cover the support and is an error, not a flag."""
+    _check_positive("z_threshold", z_threshold)
+    _check_positive("min_expected", min_expected)
     n = result.trials
     stray = {
         cfg: c

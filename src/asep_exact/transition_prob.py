@@ -53,9 +53,10 @@ species every letter is the identity.
 Targets left of the start (sum x < sum y) would need an integrand growing
 like r^(sum x - sum y) on a contour held inside the pole bound, so they
 are computed on the mirrored lattice: sites negated and reversed, species
-reversed, p and q swapped, which makes the exponent positive.  Each half
-gets its own balanced radius.  At p = 1 the left half is exactly 0,
-because particles only move right.
+reversed, p and q swapped, which makes the exponent positive.  At p = 1
+the left half is exactly 0, because particles only move right.  Both
+halves run through one loop; ``ContourSpec.radius_for`` decides each one's
+radius, pole-bound check and slab budget, and ``_contour_sum`` sums on it.
 
 The same engine sums any set of permutations (``sigma_summand``,
 ``inversion_class_sum``).  Such a partial sum is not mirror invariant, so
@@ -66,22 +67,13 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 
-from .bethe_algebra import RateParams, dispersion, s_factor
-from .contour_quadrature import (
-    MAX_NODES,
-    ContourSpec,
-    Quadrature,
-    admissible_radius_bound,
-    assert_admissible,
-    axis_view,
-    balanced_radius,
-    node_points,
-)
+from .bethe_algebra import RateParams, _check_positive, dispersion, s_factor
+from .contour_quadrature import ContourSpec, Quadrature, axis_view, node_points
 from .markov_oracle import (
     DEFAULT_LEAK_TOL,
     StateSpace,
@@ -97,10 +89,6 @@ from .species_coeff import coefficient_table, exchange_update
 # [-MASS_TOL, 1 + MASS_TOL], or a window's mass outside
 # [1 - leakage - MASS_TOL, 1 + MASS_TOL], is flagged as off.
 MASS_TOL = 1e-8
-
-# Cap on one slab's node-grid size, K^(N-1) points of extended-precision
-# complex.  64^3 fits comfortably; one more axis would not.
-MAX_SLAB_POINTS = 1 << 21
 
 
 def _longdouble(value) -> np.longdouble:
@@ -177,17 +165,6 @@ class MasterEquationReport:
     dt: float
 
 
-def _resolve_radius(spec: ContourSpec, rates, t, min_exponent, n) -> np.longdouble:
-    if spec.radius is not None:
-        radius = np.longdouble(spec.radius)
-    else:
-        radius = balanced_radius(
-            rates, t, min_exponent, n * (n - 1) // 2, n, nodes=spec.nodes
-        )
-    assert_admissible(float(radius), rates)
-    return radius
-
-
 def _axis_kernels(z, y, rates, t, nodes):
     """Per-variable node vectors: w^{-k y_v} * exp(dispersion * t) / K.
 
@@ -203,14 +180,11 @@ def _axis_kernels(z, y, rates, t, nodes):
 
 
 def _spec_for(spec: ContourSpec | None, n: int) -> ContourSpec:
-    """``spec``, or the default one, for a start of n particles; a spec of
-    another dimension is a ValueError."""
-    if spec is None:
-        return ContourSpec(dimension=n)
-    if spec.dimension != n:
-        raise ValueError(
-            f"spec.dimension is {spec.dimension}, but the start has {n} particles"
-        )
+    """``spec``, or the default one; one naming a dimension other than the
+    start's n particles is a ValueError."""
+    spec = spec or ContourSpec()
+    if spec.dimension not in (None, n):
+        raise ValueError(f"spec.dimension is {spec.dimension}, but the start has {n} particles")
     return spec
 
 
@@ -238,7 +212,8 @@ def _evaluate(
     the contour is starved or aliased there, and one UserWarning names how many.
     """
     sites, species = check_problem(y, nu, t, targets)
-    spec = _spec_for(spec, len(y))
+    n = len(y)
+    spec = _spec_for(spec, n)
 
     def target(k):
         return tuple(sites[k].tolist()), tuple(species[k].tolist())
@@ -246,27 +221,29 @@ def _evaluate(
     live = (np.sort(species, axis=1) == sorted(nu)).all(axis=1)
     split = sum(y) if permutations is None else -np.inf
     direct = live & (sites.sum(axis=1) >= split)
-    left = live & ~direct
+    # each half: its rows, start, labels, targets and rates; at p = 1 the
+    # left targets are exact zeros and no mirrored half runs
+    halves = [(direct, y, nu, sites[direct], species[direct], rates)]
+    if rates.q != 0:
+        left = live & ~direct
+        halves.append((
+            left, tuple(-s for s in reversed(y)), tuple(reversed(nu)),
+            -sites[left, ::-1], species[left, ::-1], RateParams(rates.q, rates.p),
+        ))
     values = np.zeros(len(sites), dtype=np.longdouble)
-    mirror_radius = None
+    radii = [None, None]
     # an overflowing contour shows up as a non-finite value, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values[direct], radius = _contour_sum(
-            y, nu, sites[direct], species[direct], rates, t, spec, permutations
-        )
-        if left.any() and rates.q != 0:
-            mirrored = RateParams(rates.q, rates.p)
-            bound = admissible_radius_bound(mirrored)
-            if spec.radius is not None and not spec.radius < bound:
-                raise ValueError(
-                    f"radius {spec.radius} is refused by the mirrored half, where targets left "
-                    f"of the start run with p and q swapped (p = {float(rates.q):g}, "
-                    f"q = {float(rates.p):g}): its pole bound is {bound:g}"
-                )
-            values[left], mirror_radius = _contour_sum(
-                tuple(-s for s in reversed(y)), tuple(reversed(nu)),
-                -sites[left, ::-1], species[left, ::-1], mirrored, t, spec,
+        for half, (rows, start, labels, xs, pis, half_rates) in enumerate(halves):
+            if not rows.any():
+                continue
+            ext = _extended_rates(half_rates)
+            lowest = int(xs.sum(axis=1).min()) - sum(start)
+            radius = spec.radius_for(ext, t, lowest, n, mirrored=bool(half))
+            values[rows] = _contour_sum(
+                start, labels, xs, pis, ext, t, radius, spec.nodes, permutations
             )
+            radii[half] = float(radius)
         out = values.astype(float)
 
     bad = np.flatnonzero(~np.isfinite(out))
@@ -285,7 +262,7 @@ def _evaluate(
                 f"{target(worst)}, {spec.nodes} nodes",
                 stacklevel=3,
             )
-    return Evaluation(values=tuple(out.tolist()), quadrature=spec.quadrature(radius, mirror_radius))
+    return Evaluation(values=tuple(out.tolist()), quadrature=spec.quadrature(*radii))
 
 
 def _pair_view(matrix, axis_a, axis_b, ndim):
@@ -298,20 +275,14 @@ def _pair_view(matrix, axis_a, axis_b, ndim):
     return matrix.reshape(shape)
 
 
-def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
-    """Trapezoid values of the targets (rows of the (m, N) int arrays
-    ``sites`` and ``species``, labelings in nu's species orbit) on the
-    direct lattice, summed over ``permutations`` (default: all of S_N) and
-    read off one symmetrized spectrum per labeling.  Returns the values, in
-    extended precision, and the radius used (None for an empty batch).
-    Only the full sum is mirror invariant, so the direct lattice serves
-    targets left of the start only when a part of the sum is asked for."""
-    if not len(sites):
-        return np.zeros(0, dtype=np.longdouble), None
+def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None):
+    """Trapezoid values, in extended precision, of the targets (rows of the
+    (m, N) int arrays ``sites`` and ``species``, labelings in nu's species
+    orbit) on the contour of the given radius and node count, with the
+    extended-precision rates ``ext``, summed over ``permutations``
+    (default: all of S_N) and read off one symmetrized spectrum per
+    labeling."""
     n = len(y)
-    ext = _extended_rates(rates)
-    radius = _resolve_radius(spec, ext, t, int(sites.sum(axis=1).min()) - sum(y), n)
-    nodes = spec.nodes
     z = node_points(radius, nodes)
     kernels = _axis_kernels(z, y, ext, t, nodes)
     modes = sites % nodes
@@ -320,15 +291,9 @@ def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
     half = nodes // 2
     if n == 1:
         spectrum = scipy.fft.irfft(kernels[0][: half + 1], n=nodes, norm="forward")
-        return scale * spectrum[modes[:, 0]], float(radius)
+        return scale * spectrum[modes[:, 0]]
 
     n_rest = n - 1
-    if nodes**n_rest > MAX_SLAB_POINTS:
-        raise ValueError(
-            f"node grid K^(N-1) = {nodes}^{n_rest} exceeds the slab budget; "
-            "lower the node count or the particle count"
-        )
-
     # One scattering matrix S[k, l] = s_factor(z_k, z_l) per half, which
     # also puts the whole node grid under the pole guard.  Every pair
     # factor of the half is a view of it: its column k holds the factors
@@ -450,7 +415,7 @@ def _contour_sum(y, nu, sites, species, rates, t, spec, permutations=None):
         spectrum = scipy.fft.irfft(spectra, n=nodes, axis=0, norm="forward")
         rows = label_of == label
         values[rows] += spectrum[modes[rows, j], plane_slot[j][rows]]
-    return scale * values, float(radius)
+    return scale * values
 
 
 def transition_probability(
@@ -553,26 +518,21 @@ def delta_recovery(
     if not isinstance(margin, numbers.Integral) or isinstance(margin, bool) or margin < 0:
         raise ValueError(f"margin must be a nonnegative integer, got {margin!r}")
     y, nu = tuple(y), tuple(nu)
+    _check_positive("tol", tol)
     check_problem(y, nu, 0.0)
     n = len(y)
     spec = _spec_for(spec, n)
     window = (min(y) - margin, max(y) + margin)
     batch = StateSpace.build(window, n, nu).batch()
     at_start = (batch == (y, nu)).all(axis=(1, 2))
-    nodes, radius = spec.nodes, spec.radius
     while True:
-        run_spec = ContourSpec(nodes=nodes, radius=radius, dimension=n)
-        evaluation = _evaluate(y, nu, batch, rates, 0.0, run_spec)
+        evaluation = _evaluate(y, nu, batch, rates, 0.0, spec)
         worst = float(abs(np.subtract(evaluation.values, at_start)).max())
-        if (
-            worst <= tol
-            or nodes >= MAX_NODES
-            or (2 * nodes) ** (n - 1) > MAX_SLAB_POINTS
-        ):
+        if worst <= tol or not ContourSpec.fits(2 * spec.nodes, n):
             return DeltaReport(
                 max_residual=worst, quadrature=evaluation.quadrature, tolerance=tol
             )
-        nodes *= 2
+        spec = replace(spec, nodes=2 * spec.nodes)
 
 
 def sigma_summand(
@@ -634,7 +594,8 @@ def master_equation_residual(
     y, nu, x, pi = tuple(y), tuple(nu), tuple(x), tuple(pi)
     # checked before the neighbourhood is built from x
     check_problem(y, nu, t, [(x, pi)])
-    if not 0 < dt <= t:
+    # a bool is not read as dt = 1 (numpy's is no numbers.Real)
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt <= t:
         raise ValueError(
             f"the central difference at t - dt needs 0 < dt <= t, got t = {t}, dt = {dt}"
         )

@@ -59,7 +59,7 @@ def test_balanced_radius_admissible_across_regimes():
         rates = RateParams.from_p(p)
         for t in (0.0, 0.2, 1.0, 5.0):
             for min_exp in (-12, -3, 0, 5):
-                r = balanced_radius(rates, t, min_exp, 6, 3)
+                r = balanced_radius(rates, t, min_exp, 4)
                 assert 0 < r < admissible_radius_bound(rates)
 
 
@@ -68,7 +68,7 @@ def test_balanced_radius_backs_off_pole_at_time_zero():
     # circle where the trapezoid picks up the scattering poles; keep a
     # real gap at t = 0
     rates = RateParams.from_p(0.5)
-    r = balanced_radius(rates, 0.0, 0, 3, 3, nodes=64)
+    r = balanced_radius(rates, 0.0, 0, 3, nodes=64)
     assert r <= 0.85 * admissible_radius_bound(rates)
 
 
@@ -81,8 +81,15 @@ def test_contour_spec_validation():
         ContourSpec(nodes=2048)
     with pytest.raises(ValueError):
         ContourSpec(radius=-0.1)
+    # nan and inf failed later, at the pole bound, True ran as radius 1,
+    # and a string raised a TypeError
+    for radius in (float("nan"), float("inf"), True, "0.1"):
+        with pytest.raises(ValueError, match=f"radius must be a finite positive number, got radius = {radius!r}"):
+            ContourSpec(radius=radius)
     with pytest.raises(ValueError):
         ContourSpec(dimension=0)
+    # the particle count comes from the start unless one is named
+    assert ContourSpec(nodes=32).dimension is None
     # a float node count failed later, indexing the node grid
     for nodes in (64.0, True):
         with pytest.raises(ValueError, match=f"got nodes = {nodes}"):

@@ -349,12 +349,23 @@ def test_margin_off_the_nonnegative_integers_is_refused(margin):
         delta_recovery((0, 1), (1, 1), R07, margin=margin)
 
 
-@pytest.mark.parametrize("leak_tol", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("leak_tol", [float("nan"), 0.0, -1.0, True, math.inf, "1e-10"])
 def test_leak_tol_that_bounds_nothing_is_refused(leak_tol):
-    # nan bounded nothing, 0 drove the window out to 128 sites, and -1
-    # searched 10,000 sites before it was refused
-    named = f"leak_tol must be positive, got leak_tol = {leak_tol}"
+    # nan bounded nothing, 0 drove the window out to 128 sites, -1
+    # searched 10,000 sites before it was refused, and True was read as
+    # leak_tol = 1
+    named = re.escape(f"leak_tol must be a finite positive number, got leak_tol = {leak_tol!r}")
+    with pytest.raises(ValueError, match=named):
+        window_for((0, 1), 0.5, leak_tol)
     with pytest.raises(ValueError, match=named):
         distribution_over_window((0, 1), (1, 1), R07, 0.5, leak_tol=leak_tol)
     with pytest.raises(ValueError, match=named):
         oracle_distribution((0, 1), (1, 1), R07, 0.5, leak_tol=leak_tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, True, math.inf])
+def test_delta_tolerance_off_the_positive_numbers_is_refused(tol):
+    # True passed every check, and nan or -1 failed every one silently
+    named = re.escape(f"tol must be a finite positive number, got tol = {tol!r}")
+    with pytest.raises(ValueError, match=named):
+        delta_recovery((0, 1), (1, 1), R07, tol=tol)

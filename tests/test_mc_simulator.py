@@ -192,3 +192,8 @@ def test_compare_threshold_knobs():
     assert not strict.passed  # any real sample shows some deviation
     shallow = compare(result, reference, min_expected=1e9)
     assert shallow.passed and not shallow.checked
+    # a bool is not read as 1, and nan would check or flag nothing
+    for knob in ("z_threshold", "min_expected"):
+        for value in (True, float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{knob} must be a finite positive number, got {knob} = {value}"):
+                compare(result, reference, **{knob: value})

@@ -13,6 +13,7 @@ import scipy.fft
 
 from asep_exact import (
     ContourSpec,
+    Quadrature,
     RateParams,
     StateSpace,
     delta_recovery,
@@ -27,7 +28,7 @@ from asep_exact import (
     transition_probabilities,
     transition_probability,
 )
-from asep_exact import species_coeff, transition_prob
+from asep_exact import contour_quadrature, species_coeff, transition_prob
 from asep_exact.bethe_algebra import amplitude, s_factor
 from asep_exact.contour_quadrature import axis_view, node_points
 from asep_exact.permutations import all_permutations, inversion_classes
@@ -69,9 +70,13 @@ def test_delta_recovery_small():
 
 
 def test_delta_recovery_fails_at_slab_budget(monkeypatch):
+    # 1040 nodes are past the node cap: the report comes back failed at
+    # 520 nodes, where a ContourSpec of 1040 nodes used to be refused
+    rep = delta_recovery((0, 1), (1, 1), R07, tol=1e-300, spec=ContourSpec(nodes=520))
+    assert not rep.passed and rep.quadrature.nodes == 520
     # doubling 8 -> 16 nodes would exceed the K^(N-1) slab budget: the
     # report comes back failed at 8 nodes instead of raising
-    monkeypatch.setattr(transition_prob, "MAX_SLAB_POINTS", 8**2)
+    monkeypatch.setattr(contour_quadrature, "MAX_SLAB_POINTS", 8**2)
     spec = ContourSpec(nodes=8, dimension=3)
     rep = delta_recovery((0, 2, 5), (1, 2, 1), R07, tol=1e-12, spec=spec)
     assert not rep.passed
@@ -258,6 +263,10 @@ def test_master_equation_residual_names_t_and_dt():
     # the central difference would evaluate at t - dt < 0
     with pytest.raises(ValueError, match=r"t = 0\.0, dt = 0\.001"):
         master_equation_residual((0,), (1,), (0,), (1,), RateParams.from_p(0.5), 0.0)
+    # True is not read as dt = 1
+    for dt in (True, np.True_):
+        with pytest.raises(ValueError, match=r"t = 2, dt = True"):
+            master_equation_residual((0,), (1,), (0,), (1,), R05, 2, dt=dt)
 
 
 def test_far_starts_give_the_compact_value():
@@ -313,22 +322,50 @@ def test_start_past_the_site_bound_is_refused():
         transition_probability((0, 2**59 + 1), (1, 1), (1, 2), (1, 1), R07, 0.5)
 
 
-def test_radius_refused_on_the_mirrored_half_says_so():
-    # 0.5 is inside the direct bound at p = 0.7 but not inside the mirrored
-    # half's, where p and q are swapped
-    spec = ContourSpec(radius=0.5, dimension=2)
-    with pytest.raises(ValueError, match=(
-        r"radius 0\.5 is refused by the mirrored half, where targets left of the start run "
-        r"with p and q swapped \(p = 0\.3, q = 0\.7\): its pole bound is 0\.254619"
-    )):
-        transition_probability((0, 1), (1, 1), (-2, -1), (1, 1), R07, 0.5, spec)
-    # with no target left of the start the mirrored half never runs
-    right = transition_probability((0, 1), (1, 1), (1, 2), (1, 1), R07, 0.5, spec)
-    assert right == pytest.approx(transition_probability((0, 1), (1, 1), (1, 2), (1, 1), R07, 0.5))
-    # a radius the direct half refuses keeps the direct bound's text
-    both = [((1, 2), (1, 1)), ((-2, -1), (1, 1))]
-    with pytest.raises(ValueError, match=r"radius 0\.9 is not strictly inside the pole bound"):
-        transition_probabilities((0, 1), (1, 1), both, R07, 0.5, ContourSpec(radius=0.9, dimension=2))
+DIRECT_REFUSAL = r"radius 0\.9 is not strictly inside the pole bound 0\.594109"
+MIRROR_REFUSAL = (
+    r"radius 0\.5 is refused by the mirrored half, where targets left of the start run "
+    r"with p and q swapped \(p = 0\.3, q = 0\.7\): its pole bound is 0\.254619"
+)
+BUDGET_REFUSAL = r"node grid K\^\(N-1\) = 32\^2 exceeds the slab budget"
+
+
+def test_each_half_takes_its_contour_from_one_decision(monkeypatch):
+    # ContourSpec.radius_for decides each half's radius, refuses one outside
+    # that half's pole bound in the half's own words, then applies the slab
+    # budget; ContourSpec.fits is the budget, for the engine and for
+    # delta_recovery's doubling alike
+    direct = transition_prob._extended_rates(R07)
+    mirror = transition_prob._extended_rates(RateParams(R07.q, R07.p))
+    assert ContourSpec(radius=0.5).radius_for(direct, 0.5, 2, 2) == 0.5
+    with pytest.raises(ValueError, match=MIRROR_REFUSAL):
+        ContourSpec(radius=0.5).radius_for(mirror, 0.5, 2, 2, mirrored=True)
+    with pytest.raises(ValueError, match=DIRECT_REFUSAL):
+        ContourSpec(radius=0.9).radius_for(direct, 0.5, 2, 2)
+    # the engine reaches both texts: 0.5 is inside the direct bound at
+    # p = 0.7 but not inside the mirrored half's, and 0.9 inside neither
+    left, right = ((-2, -1), (1, 1)), ((1, 2), (1, 1))
+    with pytest.raises(ValueError, match=MIRROR_REFUSAL):
+        transition_probabilities((0, 1), (1, 1), [right, left], R07, 0.5, ContourSpec(radius=0.5))
+    with pytest.raises(ValueError, match=DIRECT_REFUSAL):
+        transition_probabilities((0, 1), (1, 1), [right, left], R07, 0.5, ContourSpec(radius=0.9))
+    # an empty mirrored half is never checked: the direct half alone runs
+    evaluation = transition_prob._evaluate((0, 1), (1, 1), [right], R07, 0.5, ContourSpec(radius=0.5))
+    assert evaluation.quadrature == Quadrature(64, 0.5, "explicit", None)
+    balanced = transition_probability((0, 1), (1, 1), (1, 2), (1, 1), R07, 0.5)
+    assert evaluation.values[0] == pytest.approx(balanced)
+
+    monkeypatch.setattr(contour_quadrature, "MAX_SLAB_POINTS", 16**2)
+    assert ContourSpec.fits(16, 3) and not ContourSpec.fits(32, 3)
+    y, nu, x = (0, 2, 5), (1, 2, 1), ((1, 2, 5), (1, 2, 1))
+    # a radius is refused before the node grid is
+    with pytest.raises(ValueError, match=DIRECT_REFUSAL):
+        transition_probabilities(y, nu, [x], R07, 0.5, ContourSpec(nodes=32, radius=0.9))
+    with pytest.raises(ValueError, match=BUDGET_REFUSAL):
+        transition_probabilities(y, nu, [x], R07, 0.5, ContourSpec(nodes=32, radius=0.2))
+    # the doubling stops at the last node count the same budget admits
+    rep = delta_recovery(y, nu, R07, tol=1e-30, spec=ContourSpec(nodes=8))
+    assert not rep.passed and rep.quadrature.nodes == 16
 
 
 def test_time_zero_probability_is_delta():
@@ -510,10 +547,11 @@ def test_factored_planes_match_a_per_slab_reference(y, nu, window, rates):
             )
         )
     worst = scale = 0.0
-    for start, labels, half_rates, xs, pis in halves:
-        values, radius = transition_prob._contour_sum(
-            start, labels, xs, pis, half_rates, t, spec
-        )
+    for mirrored, (start, labels, half_rates, xs, pis) in enumerate(halves):
+        ext = transition_prob._extended_rates(half_rates)
+        lowest = int(xs.sum(axis=1).min()) - sum(start)
+        radius = spec.radius_for(ext, t, lowest, len(y), mirrored=bool(mirrored))
+        values = transition_prob._contour_sum(start, labels, xs, pis, ext, t, radius, nodes)
         spectra = _slab_reference(start, labels, half_rates, t, radius, nodes)
         for x, pi, value in zip(xs.tolist(), pis.tolist(), values):
             expect = (
