@@ -137,8 +137,11 @@ class ContourSpec:
             raise ValueError(f"nodes must be even, at least 8 and at most {MAX_NODES}")
         if self.radius is not None:
             _check_positive("radius", self.radius)
-        if self.dimension is not None and self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
+        dimension = self.dimension
+        if dimension is not None and (
+            not isinstance(dimension, numbers.Integral) or isinstance(dimension, bool) or dimension < 1
+        ):
+            raise ValueError(f"dimension must be a positive integer, got dimension = {dimension!r}")
 
     @staticmethod
     def fits(nodes: int, n: int) -> bool:

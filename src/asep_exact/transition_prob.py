@@ -22,11 +22,17 @@ the origin.
 
 The K^N grid is never built.  A slab (one node fixed on the contour of
 xi_1) is a K^(N-1) grid; in xi' coordinates sigma's slab is the plane
-normal to axis j = sigma^-1(1).  Planes are summed per (j, pi),
-transformed over their N-1 axes keeping only the modes the targets need,
-and a last transform along the slab index finishes each axis-j spectrum.
-All node arithmetic and every transform run in extended precision
-(clongdouble): the spectra cancel many orders below their terms.
+normal to axis j = sigma^-1(1).  Planes are summed per (j, pi) and read
+only at the modes the targets need.  A plane whose N-1 axes each keep at
+most DIRECT_MODES modes (a single target keeps one) is read by a direct
+sum against the phase rows unit[(mode * k) mod K] of the unit node table,
+with the slab's first-variable factors, a rank-one product, folded into
+those rows; a plane with a wider axis is weighted, inverse transformed one
+axis at a time and cut to its modes.  DIRECT_MODES is the measured
+crossover of the two.  A last transform along the slab index finishes
+each axis-j spectrum.  All node arithmetic, every sum and every transform
+run in extended precision (clongdouble): the spectra cancel many orders
+below their terms.
 
 The integrand has real coefficients: the pair amplitudes, the species
 factors built from 1 + S, p and q, and the kernels xi^(-y) e^(eps(xi) t)
@@ -89,6 +95,11 @@ from .species_coeff import coefficient_table, exchange_update
 # [-MASS_TOL, 1 + MASS_TOL], or a window's mass outside
 # [1 - leakage - MASS_TOL, 1 + MASS_TOL], is flagged as off.
 MASS_TOL = 1e-8
+# A plane whose axes each keep at most this many modes is read by a direct
+# phase sum, a wider one by inverse FFTs.  Timed per plane on a 2-core Xeon
+# (N = 3 at K = 64, N = 4 at K = 32 and 64), the direct sum is the faster
+# up to 3 modes, and the FFTs from 4 or 5.
+DIRECT_MODES = 3
 
 
 def _longdouble(value) -> np.longdouble:
@@ -165,17 +176,18 @@ class MasterEquationReport:
     dt: float
 
 
-def _axis_kernels(z, y, rates, t, nodes):
+def _axis_kernels(z, y, rates, t, unit):
     """Per-variable node vectors: w^{-k y_v} * exp(dispersion * t) / K.
 
     The -1 in the pole order and the dz = z * (node spacing) weight cancel
     to a single z^{-y_v} = r^{-y_v} w^{-k y_v}.  The phase is read from
-    the unit node table and r^{-y_v} is left to the readout, which scales
-    each target by r^(sum x - sum y), so no power grows with the distance
-    of the sites from the origin.
+    the unit node table ``unit`` (``node_points(1, K)``) and r^{-y_v} is
+    left to the readout, which scales each target by r^(sum x - sum y), so
+    no power grows with the distance of the sites from the origin.
     """
     growth = np.exp(dispersion(z, rates) * np.longdouble(t)) if t else 1
-    unit, k = node_points(1, nodes), np.arange(nodes)
+    nodes = len(unit)
+    k = np.arange(nodes)
     return [unit[(-k * int(yv)) % nodes] * growth / np.longdouble(nodes) for yv in y]
 
 
@@ -275,6 +287,17 @@ def _pair_view(matrix, axis_a, axis_b, ndim):
     return matrix.reshape(shape)
 
 
+def _phase_sum(plane, rows):
+    """A plane's inverse DFT (norm="forward") on the grid of its kept
+    modes, summed directly: one contraction per axis against that axis's
+    (modes, K) phase rows, the last axis first."""
+    kept = 1
+    for row in reversed(rows):
+        plane = row @ plane.reshape(-1, row.shape[1], kept)
+        kept *= len(row)
+    return plane.reshape([len(row) for row in rows])
+
+
 def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None):
     """Trapezoid values, in extended precision, of the targets (rows of the
     (m, N) int arrays ``sites`` and ``species``, labelings in nu's species
@@ -283,8 +306,8 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
     (default: all of S_N) and read off one symmetrized spectrum per
     labeling."""
     n = len(y)
-    z = node_points(radius, nodes)
-    kernels = _axis_kernels(z, y, ext, t, nodes)
+    z, unit = node_points(radius, nodes), node_points(1, nodes)
+    kernels = _axis_kernels(z, y, ext, t, unit)
     modes = sites % nodes
     scale = np.longdouble(radius) ** (sites.sum(axis=1) - sum(y))
 
@@ -374,17 +397,27 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
     labelings, label_of = np.unique(species, axis=0, return_inverse=True)
     labelings, label_of = list(map(tuple, labelings.tolist())), label_of.reshape(-1)
 
-    # Each plane is weighted into one buffer allocated once: a working set
-    # freed at the end of every slab goes back to the operating system and
-    # is faulted in again by the next one.
-    work = np.empty((nodes,) * n_rest, dtype=np.clongdouble)
+    # An axis j whose plane axes each keep at most DIRECT_MODES modes is
+    # read by a direct sum against the phase rows unit[(mode * k) mod K].
+    phases = {
+        j: [unit[np.outer(kept, np.arange(nodes)) % nodes] for kept in axis_modes[j]]
+        for j in range(n)
+        if max(map(len, axis_modes[j])) <= DIRECT_MODES
+    }
+    fft_axes = {j for _, slots in walks for j in slots} - phases.keys()
+    # The other planes are weighted into one buffer allocated once: a
+    # working set freed at the end of every slab goes back to the operating
+    # system and is faulted in again by the next one.
+    if fft_axes:
+        work = np.empty((nodes,) * n_rest, dtype=np.clongdouble)
     slab_spectra = {}
     for k in range(half + 1):
         # first-variable pair factors of the entries left of the 1, and
         # the first variable's own kernel
-        weights = [kernels[0][k]]
-        for m in range(n_rest):
-            weights.append(weights[-1] * axis_view(scatter[:, k], m, n_rest))
+        if fft_axes:
+            weights = [kernels[0][k]]
+            for m in range(n_rest):
+                weights.append(weights[-1] * axis_view(scatter[:, k], m, n_rest))
         for table, slots in walks:
             for j in range(max(slots) + 1):
                 if j:
@@ -392,16 +425,25 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
                     table = exchange_update(j, table, axis_view(bond[k], j - 1, n_rest), ext)
                 if j not in slots:
                     continue
+                if j in phases:
+                    # the weights are a rank-one product: fold the pair
+                    # factors into the phase rows of plane axes 0 .. j - 1,
+                    # and the kernel into those of axis 0
+                    rows = [row * scatter[:, k] if m < j else row for m, row in enumerate(phases[j])]
+                    rows[0] = rows[0] * kernels[0][k]
                 for label, pi in enumerate(labelings):
                     if pi not in table:
                         continue
-                    plane = np.multiply(table[pi], weights[j], out=work)
-                    # transform one axis at a time, keeping only the needed modes
-                    for axis in reversed(range(n_rest)):
-                        plane = scipy.fft.ifft(
-                            plane, axis=axis, norm="forward", overwrite_x=True
-                        )
-                        plane = plane.take(axis_modes[j][axis], axis=axis)
+                    if j in phases:
+                        plane = _phase_sum(table[pi], rows)
+                    else:
+                        plane = np.multiply(table[pi], weights[j], out=work)
+                        # transform one axis at a time, keeping only the needed modes
+                        for axis in reversed(range(n_rest)):
+                            plane = scipy.fft.ifft(
+                                plane, axis=axis, norm="forward", overwrite_x=True
+                            )
+                            plane = plane.take(axis_modes[j][axis], axis=axis)
                     if (j, label) not in slab_spectra:
                         slab_spectra[(j, label)] = np.zeros(
                             (half + 1, len(plane_modes[j][0])), dtype=np.clongdouble

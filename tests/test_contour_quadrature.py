@@ -86,8 +86,12 @@ def test_contour_spec_validation():
     for radius in (float("nan"), float("inf"), True, "0.1"):
         with pytest.raises(ValueError, match=f"radius must be a finite positive number, got radius = {radius!r}"):
             ContourSpec(radius=radius)
-    with pytest.raises(ValueError):
-        ContourSpec(dimension=0)
+    # True ran a one-particle start, 2.0 a two-particle one, and 1.5 was
+    # refused only later, as a mismatch
+    for dimension in (0, True, 2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match=f"got dimension = {dimension!r}"):
+            ContourSpec(dimension=dimension)
+    assert ContourSpec(dimension=np.int64(2)).dimension == 2
     # the particle count comes from the start unless one is named
     assert ContourSpec(nodes=32).dimension is None
     # a float node count failed later, indexing the node grid

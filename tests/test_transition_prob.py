@@ -487,7 +487,7 @@ def _slab_reference(y, nu, rates, t, radius, nodes):
     n = len(y)
     ext = transition_prob._extended_rates(rates)
     z = node_points(np.longdouble(radius), nodes)
-    kernels = transition_prob._axis_kernels(z, y, ext, t, nodes)
+    kernels = transition_prob._axis_kernels(z, y, ext, t, node_points(1, nodes))
     rest = tuple(axis_view(z, a, n - 1) for a in range(n - 1))
     rest_kernel = 1
     for a in range(n - 1):
@@ -515,6 +515,25 @@ def _slab_reference(y, nu, rates, t, radius, nodes):
     return spectra
 
 
+def _window_halves(y, nu, window, rates):
+    """A window's targets split as the engine splits them: the direct half
+    (start, labels, rates, sites, species), then at q > 0 the mirrored one."""
+    sites, species = StateSpace.build(window, len(y), nu).batch().transpose(1, 0, 2)
+    left = sites.sum(axis=1) < sum(y)
+    halves = [(y, nu, rates, sites[~left], species[~left])]
+    if rates.q:
+        halves.append(
+            (
+                tuple(-s for s in reversed(y)),
+                tuple(reversed(nu)),
+                RateParams(rates.q, rates.p),
+                -sites[left, ::-1],
+                species[left, ::-1],
+            )
+        )
+    return halves
+
+
 @pytest.mark.parametrize(
     "y, nu, window, rates",
     [
@@ -532,22 +551,10 @@ def test_factored_planes_match_a_per_slab_reference(y, nu, window, rates):
     # the mirrored half is empty
     nodes, t = 16, 0.5
     spec = ContourSpec(nodes=nodes, dimension=len(y))
-    targets = StateSpace.build(window, len(y), nu).configs()
-    sites, species = np.array(targets).transpose(1, 0, 2)
-    left = sites.sum(axis=1) < sum(y)
-    halves = [(y, nu, rates, sites[~left], species[~left])]
-    if rates.q:
-        halves.append(
-            (
-                tuple(-s for s in reversed(y)),
-                tuple(reversed(nu)),
-                RateParams(rates.q, rates.p),
-                -sites[left, ::-1],
-                species[left, ::-1],
-            )
-        )
     worst = scale = 0.0
-    for mirrored, (start, labels, half_rates, xs, pis) in enumerate(halves):
+    for mirrored, (start, labels, half_rates, xs, pis) in enumerate(
+        _window_halves(y, nu, window, rates)
+    ):
         ext = transition_prob._extended_rates(half_rates)
         lowest = int(xs.sum(axis=1).min()) - sum(start)
         radius = spec.radius_for(ext, t, lowest, len(y), mirrored=bool(mirrored))
@@ -561,6 +568,87 @@ def test_factored_planes_match_a_per_slab_reference(y, nu, window, rates):
             worst = max(worst, abs(value - expect))
             scale = max(scale, abs(value))
     assert worst <= 1e-17 * scale
+
+
+def _alone_and_in_batch(start, labels, rates, xs, pis, permutations=None, nodes=16, t=0.5):
+    """Each target's extended-precision value read alone, one mode per plane
+    axis, and inside the whole batch, both on the batch's balanced contour."""
+    ext = transition_prob._extended_rates(rates)
+    lowest = int(xs.sum(axis=1).min()) - sum(start)
+    radius = ContourSpec(nodes=nodes).radius_for(ext, t, lowest, len(start))
+    args = (ext, t, radius, nodes, permutations)
+    batch = transition_prob._contour_sum(start, labels, xs, pis, *args)
+    alone = [
+        transition_prob._contour_sum(start, labels, xs[[i]], pis[[i]], *args)[0]
+        for i in range(len(xs))
+    ]
+    return np.array(alone), batch
+
+
+def _wide(xs, nodes=16):
+    # two site columns keeping more than DIRECT_MODES modes give every plane
+    # of the batch a wide axis, so the batch is read by FFTs
+    wide = [len(np.unique(column % nodes)) > transition_prob.DIRECT_MODES for column in xs.T]
+    return sum(wide) >= 2
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize(
+    "y, nu, window, nodes",
+    [
+        ((0, 1), (1, 2), (-4, 5), 16),
+        ((0, 1, 2), (2, 1, 2), (-3, 5), 16),
+        # 8 nodes keep the 420 single-target walks cheap
+        ((0, 1, 2, 3), (2, 1, 2, 1), (-2, 5), 8),
+    ],
+)
+def test_direct_and_fft_readouts_agree(y, nu, window, nodes, p):
+    # a target alone is read by the direct phase sum, the same target in
+    # its window's batch by inverse FFTs; on one contour they agree to
+    # rounding, on both halves
+    worst = scale = 0.0
+    for start, labels, rates, xs, pis in _window_halves(y, nu, window, RateParams.from_p(p)):
+        assert _wide(xs, nodes)
+        alone, batch = _alone_and_in_batch(start, labels, rates, xs, pis, nodes=nodes)
+        worst = max(worst, abs(alone - batch).max())
+        scale = max(scale, abs(batch).max())
+    assert worst <= 1e-17 * scale
+
+
+def test_direct_and_fft_readouts_agree_on_a_partial_sum():
+    # sigma_summand's one-permutation sum.  Targets left of the start are
+    # left out: their readout scale r^(sum x - sum y) > 1 magnifies the
+    # rounding of either readout past the bound
+    y, ones = (0, 1, 2), (1, 1, 1)
+    xs, pis = _window_halves(y, ones, (-3, 5), R07)[0][3:]
+    assert _wide(xs)
+    alone, batch = _alone_and_in_batch(y, ones, R07, xs, pis, [(2, 3, 1)])
+    assert abs(alone - batch).max() <= 1e-17 * abs(batch).max()
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_readouts_agree_at_the_direct_modes_boundary(extra):
+    # the batch's widest axis keeps exactly DIRECT_MODES modes (read
+    # directly, like each target alone) or one more (read by FFTs)
+    y, nu = (0, 1, 2), (2, 1, 2)
+    count = transition_prob.DIRECT_MODES + extra
+    xs = np.array([(i, i + 1, i + 2) for i in range(count)])
+    pis = np.array([species_orbit(nu)[i % 3] for i in range(count)])
+    alone, batch = _alone_and_in_batch(y, nu, R07, xs, pis)
+    assert abs(alone - batch).max() <= 1e-17 * abs(batch).max()
+
+
+@pytest.mark.parametrize("d, aliased", [(63, 0.121943), (66, 0.147601)])
+def test_readouts_alias_a_gap_near_the_node_count_alike(d, aliased):
+    # ROADMAP item 3: the gap d aliases at K = 64 (the true value is
+    # 0.139198); the direct sum reads the same aliased value as the FFTs
+    y, nu = (0, d), (2, 1)
+    xs = np.array([(1 + i, d + i) for i in range(5)])
+    pis = np.array([nu] * 5)
+    assert _wide(xs, 64)
+    alone, batch = _alone_and_in_batch(y, nu, R07, xs, pis, nodes=64)
+    assert abs(alone[0] - batch[0]) <= 1e-17 * abs(batch).max()
+    assert float(alone[0]) == pytest.approx(aliased, abs=1e-6)
 
 
 # One batch from (0,1,2)/(2,1,2): targets on both halves, the start
@@ -640,3 +728,29 @@ def test_engine_builds_one_scattering_matrix_per_half(monkeypatch):
     values = transition_probabilities((0, 1, 2), (2, 1, 2), targets, R07, 0.5, spec)
     assert all(v.value > 0 for v in values)
     assert calls == [(16, 1), (16, 1)]
+
+
+def test_few_mode_planes_skip_the_ffts_and_wide_ones_take_them(monkeypatch):
+    # pins both readouts: single targets, on both halves, and a batch
+    # keeping DIRECT_MODES modes per axis never reach ifft; a window and a
+    # batch keeping one mode more do
+    def refused(*args, **kwargs):
+        raise AssertionError("ifft reached")
+
+    monkeypatch.setattr(transition_prob.scipy.fft, "ifft", refused)
+    spec = ContourSpec(nodes=16)
+    singles = [
+        ((0, 1), (2, 1), (1, 3), (1, 2)),
+        ((0, 1), (2, 1), (-2, 1), (2, 1)),
+        ((0, 1, 2), (2, 1, 2), (1, 2, 4), (1, 2, 2)),
+        ((0, 1, 2, 3), (1, 1, 1, 1), (1, 2, 3, 5), (1, 1, 1, 1)),
+    ]
+    for y, nu, x, pi in singles:
+        assert transition_probability(y, nu, x, pi, R07, 0.5, spec) > 0
+    y, nu = MIXED_START
+    wide = [((i, i + 1, i + 2), nu) for i in range(transition_prob.DIRECT_MODES + 1)]
+    transition_probabilities(y, nu, wide[:-1], R07, 0.5, spec)
+    with pytest.raises(AssertionError, match="ifft reached"):
+        transition_probabilities(y, nu, wide, R07, 0.5, spec)
+    with pytest.raises(AssertionError, match="ifft reached"):
+        distribution_over_window((0, 1), (2, 1), R07, 0.5, spec=spec)
