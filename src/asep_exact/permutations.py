@@ -179,9 +179,3 @@ def inversion_classes(n: int) -> dict[frozenset[int], list[Permutation]]:
         b = frozenset(pair[1] for pair in inversions(sigma) if pair[0] == n_entry)
         classes.setdefault(b, []).append(sigma)
     return classes
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

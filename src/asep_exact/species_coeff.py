@@ -194,22 +194,19 @@ def braid_apply(
     return sigma, h
 
 
-def species_coefficient(
-    sigma: Permutation, nu: SpeciesMap, xi, rates: RateParams, word: Word | None = None
-) -> CoeffTable:
+def species_coefficient(sigma: Permutation, nu: SpeciesMap, xi, rates: RateParams) -> CoeffTable:
     """Coefficient table above sigma for initial labeling nu.
 
-    Walks ``word`` (default: the canonical sorting word) from the point
-    mass at nu above the identity.  A supplied word must evaluate to sigma.
+    Walks the canonical sorting word of sigma from the point mass at nu
+    above the identity.  Every reduced word of sigma gives the same table;
+    ``coefficient_by_expansion`` takes any one of them.
     """
     n = len(sigma)
     if len(nu) != n:
         raise ValueError("nu and sigma must have the same length")
-    if word is None:
-        word = canonical_word(sigma)
-    elif word_to_permutation(word, n) != sigma:
-        raise ValueError(f"word {word} does not evaluate to {sigma}")
-    end, h = braid_apply(word, identity(n), {nu: 1}, PairTable.of(xi, rates), rates)
+    end, h = braid_apply(
+        canonical_word(sigma), identity(n), {nu: 1}, PairTable.of(xi, rates), rates
+    )
     assert end == sigma
     return h
 

@@ -23,14 +23,14 @@ the origin.
 The K^N grid is never built.  A slab (one node fixed on the contour of
 xi_1) is a K^(N-1) grid; in xi' coordinates sigma's slab is the plane
 normal to axis j = sigma^-1(1).  Planes are summed per (j, pi) and read
-only at the modes the targets need.  A plane whose N-1 axes each keep at
-most DIRECT_MODES modes (a single target keeps one) is read by a direct
-sum against the phase rows unit[(mode * k) mod K] of the unit node table,
-with the slab's first-variable factors, a rank-one product, folded into
-those rows; a plane with a wider axis is weighted, inverse transformed one
-axis at a time and cut to its modes.  DIRECT_MODES is the measured
-crossover of the two.  A last transform along the slab index finishes
-each axis-j spectrum.  All node arithmetic, every sum and every transform
+only at the modes the targets need, one axis at a time: an axis keeping
+at most DIRECT_MODES modes (a single target keeps one) by a direct sum
+against the phase rows unit[(mode * k) mod K] of the unit node table, a
+wider axis by an inverse FFT cut to its modes.  The slab's first-variable
+factors, a rank-one product of per-axis vectors, are folded into the
+phase rows of a direct axis and multiplied into a wide one before its
+transform.  A last transform along the slab index finishes each axis-j
+spectrum.  All node arithmetic, every sum and every transform
 run in extended precision (clongdouble): the spectra cancel many orders
 below their terms.
 
@@ -71,6 +71,7 @@ it stays on the direct lattice for every target.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
@@ -95,10 +96,11 @@ from .species_coeff import coefficient_table, exchange_update
 # [-MASS_TOL, 1 + MASS_TOL], or a window's mass outside
 # [1 - leakage - MASS_TOL, 1 + MASS_TOL], is flagged as off.
 MASS_TOL = 1e-8
-# A plane whose axes each keep at most this many modes is read by a direct
-# phase sum, a wider one by inverse FFTs.  Timed per plane on a 2-core Xeon
-# (N = 3 at K = 64, N = 4 at K = 32 and 64), the direct sum is the faster
-# up to 3 modes, and the FFTs from 4 or 5.
+# A plane axis keeping at most this many modes is read by a direct phase
+# sum, a wider one by an inverse FFT.  Timed per axis on a 2-core Xeon (N = 3
+# at K = 64, N = 4 at K = 32 and 64), the direct sum is the faster up to 3
+# modes on every axis; on a plane's full last axis the two are even at 4
+# (142 against 132 us at N = 3, K = 64) and the FFT wins from 5 or 6.
 DIRECT_MODES = 3
 
 
@@ -287,15 +289,31 @@ def _pair_view(matrix, axis_a, axis_b, ndim):
     return matrix.reshape(shape)
 
 
-def _phase_sum(plane, rows):
+def _fold(row, factor):
+    """A first-variable factor folded into an axis's row: a direct axis's
+    phase rows take it as a product, a wide axis (None) takes it as is."""
+    return factor if row is None else row * factor
+
+
+def _read_plane(plane, modes, rows):
     """A plane's inverse DFT (norm="forward") on the grid of its kept
-    modes, summed directly: one contraction per axis against that axis's
-    (modes, K) phase rows, the last axis first."""
-    kept = 1
-    for row in reversed(rows):
-        plane = row @ plane.reshape(-1, row.shape[1], kept)
-        kept *= len(row)
-    return plane.reshape([len(row) for row in rows])
+    modes, read one axis at a time, the last first.  An axis whose row is
+    a (modes, K) matrix, its phase rows with its factor folded in, is
+    contracted with it; any other row is the axis's factor (None: none),
+    multiplied in before the axis is inverse transformed and cut to its
+    modes."""
+    shape = list(plane.shape)
+    for axis in reversed(range(len(shape))):
+        row = rows[axis]
+        if np.ndim(row) == 2:
+            plane = row @ plane.reshape(-1, shape[axis], math.prod(shape[axis + 1 :]))
+        else:
+            if row is not None:
+                plane = plane * axis_view(row, axis, len(shape))
+            plane = scipy.fft.ifft(plane, axis=axis, norm="forward").take(modes[axis], axis=axis)
+        shape[axis] = len(modes[axis])
+        plane = plane.reshape(shape)
+    return plane
 
 
 def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None):
@@ -306,7 +324,8 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
     (default: all of S_N) and read off one symmetrized spectrum per
     labeling."""
     n = len(y)
-    z, unit = node_points(radius, nodes), node_points(1, nodes)
+    unit = node_points(1, nodes)
+    z = radius * unit
     kernels = _axis_kernels(z, y, ext, t, unit)
     modes = sites % nodes
     scale = np.longdouble(radius) ** (sites.sum(axis=1) - sum(y))
@@ -397,27 +416,15 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
     labelings, label_of = np.unique(species, axis=0, return_inverse=True)
     labelings, label_of = list(map(tuple, labelings.tolist())), label_of.reshape(-1)
 
-    # An axis j whose plane axes each keep at most DIRECT_MODES modes is
-    # read by a direct sum against the phase rows unit[(mode * k) mod K].
-    phases = {
-        j: [unit[np.outer(kept, np.arange(nodes)) % nodes] for kept in axis_modes[j]]
-        for j in range(n)
-        if max(map(len, axis_modes[j])) <= DIRECT_MODES
-    }
-    fft_axes = {j for _, slots in walks for j in slots} - phases.keys()
-    # The other planes are weighted into one buffer allocated once: a
-    # working set freed at the end of every slab goes back to the operating
-    # system and is faulted in again by the next one.
-    if fft_axes:
-        work = np.empty((nodes,) * n_rest, dtype=np.clongdouble)
+    # a plane axis keeping at most DIRECT_MODES modes is read against its
+    # phase rows unit[(mode * k) mod K], a wider one (None) by an inverse FFT
+    phases = [
+        [unit[np.outer(m, range(nodes)) % nodes] if len(m) <= DIRECT_MODES else None for m in kept]
+        for kept in axis_modes
+    ]
     slab_spectra = {}
     for k in range(half + 1):
-        # first-variable pair factors of the entries left of the 1, and
-        # the first variable's own kernel
-        if fft_axes:
-            weights = [kernels[0][k]]
-            for m in range(n_rest):
-                weights.append(weights[-1] * axis_view(scatter[:, k], m, n_rest))
+        column = scatter[:, k]
         for table, slots in walks:
             for j in range(max(slots) + 1):
                 if j:
@@ -425,25 +432,15 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
                     table = exchange_update(j, table, axis_view(bond[k], j - 1, n_rest), ext)
                 if j not in slots:
                     continue
-                if j in phases:
-                    # the weights are a rank-one product: fold the pair
-                    # factors into the phase rows of plane axes 0 .. j - 1,
-                    # and the kernel into those of axis 0
-                    rows = [row * scatter[:, k] if m < j else row for m, row in enumerate(phases[j])]
-                    rows[0] = rows[0] * kernels[0][k]
+                # the slab's first-variable factors are a rank-one product:
+                # the pair factors of the entries left of the 1 on plane axes
+                # 0 .. j - 1, the first variable's kernel on axis 0
+                rows = [_fold(row, column) if m < j else row for m, row in enumerate(phases[j])]
+                rows[0] = _fold(rows[0], kernels[0][k])
                 for label, pi in enumerate(labelings):
                     if pi not in table:
                         continue
-                    if j in phases:
-                        plane = _phase_sum(table[pi], rows)
-                    else:
-                        plane = np.multiply(table[pi], weights[j], out=work)
-                        # transform one axis at a time, keeping only the needed modes
-                        for axis in reversed(range(n_rest)):
-                            plane = scipy.fft.ifft(
-                                plane, axis=axis, norm="forward", overwrite_x=True
-                            )
-                            plane = plane.take(axis_modes[j][axis], axis=axis)
+                    plane = _read_plane(table[pi], axis_modes[j], rows)
                     if (j, label) not in slab_spectra:
                         slab_spectra[(j, label)] = np.zeros(
                             (half + 1, len(plane_modes[j][0])), dtype=np.clongdouble
@@ -586,7 +583,8 @@ def sigma_summand(
     spec: ContourSpec | None = None,
 ) -> float:
     """A single permutation's contribution to the identical-species
-    integral: scattering amplitude times kernels, no species coefficient."""
+    integral: scattering amplitude times kernels, no species coefficient.
+    Left of the start its rounding grows by the scale r^(sum x - sum y) > 1."""
     if sorted(sigma) != list(range(1, len(y) + 1)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{len(y)}")
     ones = (1,) * len(y)
@@ -602,7 +600,8 @@ def inversion_class_sum(
 ) -> float:
     """Sum of t = 0 summands over the permutations whose inversions with
     the largest entry hit exactly this entry set.  Cancels identically;
-    the return value is the quadrature residual of that cancellation."""
+    the return value is the quadrature residual of that cancellation, which
+    left of the start grows by the readout scale r^(sum x - sum y) > 1."""
     classes = inversion_classes(len(y))
     if frozenset(entries) not in classes:
         raise ValueError(f"no inversion class {set(entries)} for n = {len(y)}")

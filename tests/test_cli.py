@@ -11,7 +11,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from asep_exact import ContourSpec, RateParams, cli, delta_recovery, distribution_over_window
+from asep_exact import (
+    ContourSpec,
+    RateParams,
+    cli,
+    delta_recovery,
+    distribution_over_window,
+    oracle_distribution,
+)
 from asep_exact.transition_prob import _evaluate
 
 
@@ -102,19 +109,24 @@ def test_prob_csv_columns(tmp_path):
 
 
 def test_prob_with_oracle_adds_column(tmp_path):
-    out = tmp_path / "rows.csv"
-    code = run(
-        ["prob", "--p", "0.5", "--t", "0.3", "--y", "0,1", "--nu", "1,2",
-         "--window", "-3,4", "--with-oracle", "--csv", str(out)]
-    )
-    assert code == 0
-    with open(out) as fh:
-        assert next(csv.reader(fh)) == ["sites", "species", "value", "oracle"]
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows
-    for row in rows:
-        assert abs(float(row["value"]) - float(row["oracle"])) < 1e-6
+    # as a flag and as a run manifest's "with_oracle": true
+    out, manifest = tmp_path / "rows.csv", tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"command": "prob", "p": 0.5, "t": 0.3, "y": [0, 1], "nu": [1, 2], "window": [-3, 4],
+         "with_oracle": True, "csv": str(out)}
+    ))
+    flags = ["prob", "--p", "0.5", "--t", "0.3", "--y", "0,1", "--nu", "1,2",
+             "--window", "-3,4", "--with-oracle", "--csv", str(out)]
+    for argv in (flags, ["run", str(manifest)]):
+        out.unlink(missing_ok=True)
+        assert run(argv) == 0
+        with open(out) as fh:
+            assert next(csv.reader(fh)) == ["sites", "species", "value", "oracle"]
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert abs(float(row["value"]) - float(row["oracle"])) < 1e-6
 
 
 def test_simulate_csv_histogram(tmp_path):
@@ -168,12 +180,15 @@ def test_problem_file_unknown_field_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_problem_file_inconsistent_counts_rejected(tmp_path):
+def test_problem_file_inconsistent_counts_rejected(tmp_path, capsys):
     path = tmp_path / "problem.json"
-    path.write_text(
-        json.dumps({"p": 0.5, "t": 1.0, "N": 3, "Y": [0, 1], "nu": [1, 2]})
-    )
-    assert run(["prob", str(path)]) == 1
+    for counts, message in [
+        ({"N": 3, "nu": [1, 2]}, "N=3 but Y has 2 sites"),
+        ({"M": 2, "nu": [1, 1]}, "M=2 but nu has 1 distinct labels"),
+    ]:
+        path.write_text(json.dumps({"p": 0.5, "t": 1.0, "Y": [0, 1], **counts}))
+        assert run(["prob", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_problem_file_zero_denominator_rejected(tmp_path, capsys):
@@ -220,6 +235,44 @@ def test_oracle_command_report(tmp_path):
     jsonschema.validate(report, cli.REPORT_SCHEMAS["oracle"])
     assert report["total_value"] == pytest.approx(1.0, abs=1e-6)
     assert report["leakage"] <= 1e-10
+
+
+def test_oracle_command_reads_its_targets_and_writes_csv(tmp_path):
+    # the oracle looks each target up; one outside its window reads 0
+    problem = dict(PROBLEM, t=0.2, targets=[
+        {"X": [0, 2], "pi": [2, 1]}, {"X": [40, 41], "pi": [1, 2]},
+    ])
+    path, out, rows = tmp_path / "problem.json", tmp_path / "oracle.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps(problem))
+    assert run(["oracle", str(path), "--out", str(out), "--csv", str(rows)]) == 0
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, cli.REPORT_SCHEMAS["oracle"])
+    dist, _, _ = oracle_distribution((0, 1), (1, 2), RateParams.from_p(0.5), 0.2)
+    expect = [dist[((0, 2), (2, 1))], 0.0]
+    assert [row["value"] for row in report["targets"]] == expect
+    with open(rows) as fh:
+        assert list(csv.reader(fh)) == [
+            ["sites", "species", "value"], ["0 2", "2 1", repr(expect[0])], ["40 41", "1 2", "0.0"],
+        ]
+    # the same target as --x/--pi flags
+    flags = ["oracle", "--p", "0.5", "--t", "0.2", "--y", "0,1", "--nu", "1,2",
+             "--x", "0,2", "--pi", "2,1", "--out", str(out)]
+    assert run(flags) == 0
+    assert [row["value"] for row in json.loads(out.read_text())["targets"]] == expect[:1]
+
+
+def test_unreadable_problem_files_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    assert run(["prob", str(path)]) == 1
+    assert f"cannot read problem file {path}" in capsys.readouterr().err
+    path.write_text('{"p": 0.5,')
+    assert run(["prob", str(path)]) == 1
+    assert f"problem file {path} line 1:" in capsys.readouterr().err
+
+
+def test_site_list_that_is_not_integers_is_usage_error(capsys):
+    assert run(["verify-delta", "--p", "0.5", "--y", "0,a"]) == 1
+    assert "expected comma-separated integers, got '0,a'" in capsys.readouterr().err
 
 
 def test_verify_braid_cli_small(tmp_path):

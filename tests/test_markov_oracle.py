@@ -234,6 +234,19 @@ def test_oracle_zero_time_is_point_mass():
     assert dist[((0, 2), (1, 2))] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_window_without_a_move_keeps_the_point_mass():
+    # at p = 1 the one state of the window (0, 1) cannot move inside it:
+    # the uniformization rate is 0 and the start comes back as it is
+    dist, _, _ = oracle_distribution(
+        (0, 1), (1, 1), RateParams.from_p(1), 1.0, window=(0, 1)
+    )
+    assert dist == {((0, 1), (1, 1)): 1.0}
+
+
+def test_single_particle_series_at_time_zero_is_a_point_mass():
+    assert [single_particle_series(d, R07, 0) for d in (-2, 0, 3)] == [0.0, 1.0, 0.0]
+
+
 def test_single_particle_series_against_generator():
     for t in (0.3, 1.0):
         dist, _, _ = oracle_distribution((0,), (1,), R07, t)

@@ -587,7 +587,7 @@ def _alone_and_in_batch(start, labels, rates, xs, pis, permutations=None, nodes=
 
 def _wide(xs, nodes=16):
     # two site columns keeping more than DIRECT_MODES modes give every plane
-    # of the batch a wide axis, so the batch is read by FFTs
+    # of the batch a wide axis, read by an FFT
     wide = [len(np.unique(column % nodes)) > transition_prob.DIRECT_MODES for column in xs.T]
     return sum(wide) >= 2
 
@@ -604,8 +604,8 @@ def _wide(xs, nodes=16):
 )
 def test_direct_and_fft_readouts_agree(y, nu, window, nodes, p):
     # a target alone is read by the direct phase sum, the same target in
-    # its window's batch by inverse FFTs; on one contour they agree to
-    # rounding, on both halves
+    # its window's batch by inverse FFTs on its wide axes; on one contour
+    # they agree to rounding, on both halves
     worst = scale = 0.0
     for start, labels, rates, xs, pis in _window_halves(y, nu, window, RateParams.from_p(p)):
         assert _wide(xs, nodes)
@@ -636,6 +636,38 @@ def test_readouts_agree_at_the_direct_modes_boundary(extra):
     pis = np.array([species_orbit(nu)[i % 3] for i in range(count)])
     alone, batch = _alone_and_in_batch(y, nu, R07, xs, pis)
     assert abs(alone - batch).max() <= 1e-17 * abs(batch).max()
+
+
+def test_mixed_planes_take_ffts_on_their_wide_axes_only(monkeypatch):
+    # the last site column keeps DIRECT_MODES + 1 modes, the others one:
+    # the planes normal to axes 0 and 1 each mix a direct axis with a wide
+    # one, and only the wide one, their last, reaches ifft; the plane normal
+    # to axis 2 is read directly.  Each target alone agrees with the batch
+    y, nu = (0, 1, 2), (2, 1, 2)
+    count = transition_prob.DIRECT_MODES + 1
+    xs = np.array([(1, 2, 3 + i) for i in range(count)])
+    pis = np.array([species_orbit(nu)[i % 3] for i in range(count)])
+    alone, batch = _alone_and_in_batch(y, nu, R07, xs, pis)
+    assert abs(alone - batch).max() <= 1e-17 * abs(batch).max()
+
+    calls, wide = [], []
+    ifft, read_plane = scipy.fft.ifft, transition_prob._read_plane
+
+    def counted_ifft(plane, axis, **kwargs):
+        calls.append((plane.shape, axis))
+        return ifft(plane, axis=axis, **kwargs)
+
+    def counted_read(plane, modes, rows):
+        wide.append(sum(np.ndim(row) != 2 for row in rows))
+        return read_plane(plane, modes, rows)
+
+    monkeypatch.setattr(transition_prob.scipy.fft, "ifft", counted_ifft)
+    monkeypatch.setattr(transition_prob, "_read_plane", counted_read)
+    targets = list(zip(map(tuple, xs.tolist()), map(tuple, pis.tolist())))
+    transition_probabilities(y, nu, targets, R07, 0.5, ContourSpec(nodes=16))
+    assert sorted(set(wide)) == [0, 1]
+    assert len(calls) == sum(wide)
+    assert set(calls) == {((16, 16), 1)}
 
 
 @pytest.mark.parametrize("d, aliased", [(63, 0.121943), (66, 0.147601)])
