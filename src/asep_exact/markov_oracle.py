@@ -76,8 +76,10 @@ def check_config(sites, species) -> None:
 def check_problem(y, nu, t: float, targets=()) -> tuple[np.ndarray, np.ndarray]:
     """Checks the start (y, nu), t and the targets (pairs or one (m, 2, N)
     integer array) in that order; returns the targets' int64 (m, N) sites and
-    species.  An entry that is not an integer (a bool is not) or lies past
-    MAX_SITE is refused, naming its configuration."""
+    species.  An empty start is refused, and so is an entry that is not an
+    integer (a bool is not) or lies past MAX_SITE, naming its configuration."""
+    if not len(y):
+        raise ValueError("the start is empty: y must hold at least one site")
     if not all(map(_is_int, (*y, *nu))):
         raise ValueError(
             f"start sites and species must be integers, got y = {tuple(y)}, nu = {tuple(nu)}"
@@ -249,7 +251,9 @@ def build_generator(space: StateSpace, rates: RateParams) -> sparse.csr_matrix:
 
 def expm_action(generator: sparse.csr_matrix, t: float, start_index: int) -> np.ndarray:
     """Distribution row delta_start * exp(t Q) by uniformization, accurate
-    to the UNIFORMIZATION_TAIL Poisson truncation."""
+    to the UNIFORMIZATION_TAIL Poisson truncation.  The walk starts from the
+    Poisson weight exp(-lambda t); past lambda t of about 708 that is no
+    normal float, and the time is refused with a ValueError."""
     m = generator.shape[0]
     v = np.zeros(m)
     v[start_index] = 1.0
@@ -261,6 +265,11 @@ def expm_action(generator: sparse.csr_matrix, t: float, start_index: int) -> np.
     transition = sparse.eye(m, format="csr") + generator.transpose().tocsr() / lam
     mu = lam * t
     weight = np.exp(-mu)
+    if weight < np.finfo(float).tiny:
+        raise ValueError(
+            f"the oracle's first Poisson weight exp(-lambda t) underflows at t = {t}: "
+            f"lambda t = {mu:.6g} exceeds {-math.log(np.finfo(float).tiny):.6g}"
+        )
     cumulative = weight
     out = weight * v
     w = v
@@ -284,7 +293,12 @@ def single_particle_series(displacement: int, rates: RateParams, t: float) -> fl
 
     Terms are built by the ratio recursion term *= p q t^2 / (k (k+d)) so
     nothing ever overflows; the leading term uses logs for the same reason.
+    A displacement that is not an integer (a bool is not) is a ValueError,
+    and so is a time that is not finite and nonnegative.
     """
+    if not _is_int(displacement):
+        raise ValueError(f"displacement must be an integer, got {displacement!r}")
+    _check_time(t)
     p, q = float(rates.p), float(rates.q)
     d = int(displacement)
     if t == 0:

@@ -45,15 +45,6 @@ def inverse(sigma: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """Right-to-left composition: compose(s, t)(i) = s(t(i)).
-
-    >>> compose((2, 1, 3), (1, 3, 2))
-    (2, 3, 1)
-    """
-    return tuple(sigma[t - 1] for t in tau)
-
-
 def adjacent_swap(sigma: Permutation, i: int) -> Permutation:
     """Interchange the entries in slots i and i+1 (1 <= i <= N-1)."""
     if not 1 <= i <= len(sigma) - 1:
@@ -86,11 +77,6 @@ def inversions(sigma: Permutation) -> set[tuple[int, int]]:
         for b in sigma
         if a > b and inv[a - 1] < inv[b - 1]
     }
-
-
-def length(sigma: Permutation) -> int:
-    """Coxeter length: the inversion count."""
-    return len(inversions(sigma))
 
 
 def inversions_below(sigma: Permutation, k: int) -> int:

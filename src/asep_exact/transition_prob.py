@@ -22,17 +22,19 @@ the origin.
 
 The K^N grid is never built.  A slab (one node fixed on the contour of
 xi_1) is a K^(N-1) grid; in xi' coordinates sigma's slab is the plane
-normal to axis j = sigma^-1(1).  Planes are summed per (j, pi) and read
-only at the modes the targets need, one axis at a time: an axis keeping
-at most DIRECT_MODES modes (a single target keeps one) by a direct sum
-against the phase rows unit[(mode * k) mod K] of the unit node table, a
-wider axis by an inverse FFT cut to its modes.  The slab's first-variable
-factors, a rank-one product of per-axis vectors, are folded into the
-phase rows of a direct axis and multiplied into a wide one before its
-transform.  A last transform along the slab index finishes each axis-j
-spectrum.  All node arithmetic, every sum and every transform
-run in extended precision (clongdouble): the spectra cancel many orders
-below their terms.
+normal to axis j = sigma^-1(1), whose axes are the other site columns.
+Each column is placed once: the modes it keeps, each target's place among
+them and, if it keeps at most DIRECT_MODES modes (a single target keeps
+one), its phase rows unit[(mode * k) mod K].  Planes are summed per
+(j, pi) and read only at those modes, one axis at a time: a column with
+phase rows by a direct sum against them, a wider one by an inverse FFT
+cut to its modes.  The slab's first-variable factors, a rank-one product
+of per-column vectors, are folded into the phase rows or multiplied into
+a wide axis before its transform.  Plane axis j keeps one array of
+spectra by slab, labeling and plane mode tuple; a last transform along
+the slab index finishes it, and one gather reads every target.  All node
+arithmetic, every sum and every transform run in extended precision
+(clongdouble): the spectra cancel many orders below their terms.
 
 The integrand has real coefficients: the pair amplitudes, the species
 factors built from 1 + S, p and q, and the kernels xi^(-y) e^(eps(xi) t)
@@ -399,32 +401,31 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
                 start[pi] = start[pi] + term if pi in start else term
         walks.append((start, slots))
 
-    # per axis j: the modes each plane axis keeps, and where each target's
-    # plane mode tuple sits among the deduplicated ones
-    axis_modes, plane_modes, plane_slot = [], [], []
-    for j in range(n):
-        kept = np.delete(modes, j, axis=1)
-        axis_modes.append([np.unique(column) for column in kept.T])
-        at = np.stack(
-            [np.searchsorted(m, column) for m, column in zip(axis_modes[j], kept.T)],
-            axis=1,
-        )
-        uniq, slot = np.unique(at, axis=0, return_inverse=True)
-        plane_modes.append(tuple(uniq.T))
-        plane_slot.append(slot.reshape(-1))
+    # per site column: the modes it keeps, each target's place among them,
+    # and, when it keeps at most DIRECT_MODES modes, its phase rows
+    # unit[(mode * k) mod K] (a wider column, None, is read by an inverse FFT)
+    kept = [np.unique(column) for column in modes.T]
+    place = np.stack([np.searchsorted(m, column) for m, column in zip(kept, modes.T)], axis=1)
+    phases = [
+        unit[np.outer(m, range(nodes)) % nodes] if len(m) <= DIRECT_MODES else None for m in kept
+    ]
     # the labelings in sorted order, and each target's among them
     labelings, label_of = np.unique(species, axis=0, return_inverse=True)
     labelings, label_of = list(map(tuple, labelings.tolist())), label_of.reshape(-1)
+    # plane j keeps every column but j: its deduplicated mode tuples, each
+    # target's slot among them, and its spectra by slab, labeling and slot
+    plane_modes, plane_slot, spectra = [], [], []
+    for j in range(n):
+        uniq, slot = np.unique(np.delete(place, j, axis=1), axis=0, return_inverse=True)
+        plane_modes.append(tuple(uniq.T))
+        plane_slot.append(slot.reshape(-1))
+        spectra.append(np.zeros((half + 1, len(labelings), len(uniq)), dtype=np.clongdouble))
 
-    # a plane axis keeping at most DIRECT_MODES modes is read against its
-    # phase rows unit[(mode * k) mod K], a wider one (None) by an inverse FFT
-    phases = [
-        [unit[np.outer(m, range(nodes)) % nodes] if len(m) <= DIRECT_MODES else None for m in kept]
-        for kept in axis_modes
-    ]
-    slab_spectra = {}
     for k in range(half + 1):
-        column = scatter[:, k]
+        # the slab's first-variable factors are a rank-one product: the pair
+        # factors of the entries left of the 1 on plane axes 0 .. j - 1 (the
+        # columns left of j), the first variable's kernel on axis 0
+        left = [_fold(row, scatter[:, k]) for row in phases[:-1]]
         for table, slots in walks:
             for j in range(max(slots) + 1):
                 if j:
@@ -432,28 +433,20 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
                     table = exchange_update(j, table, axis_view(bond[k], j - 1, n_rest), ext)
                 if j not in slots:
                     continue
-                # the slab's first-variable factors are a rank-one product:
-                # the pair factors of the entries left of the 1 on plane axes
-                # 0 .. j - 1, the first variable's kernel on axis 0
-                rows = [_fold(row, column) if m < j else row for m, row in enumerate(phases[j])]
+                rows = left[:j] + phases[j + 1 :]
                 rows[0] = _fold(rows[0], kernels[0][k])
                 for label, pi in enumerate(labelings):
-                    if pi not in table:
-                        continue
-                    plane = _read_plane(table[pi], axis_modes[j], rows)
-                    if (j, label) not in slab_spectra:
-                        slab_spectra[(j, label)] = np.zeros(
-                            (half + 1, len(plane_modes[j][0])), dtype=np.clongdouble
-                        )
-                    slab_spectra[(j, label)][k] = plane[plane_modes[j]]
+                    # a labeling the letters so far do not reach has no entry
+                    if pi in table:
+                        plane = _read_plane(table[pi], kept[:j] + kept[j + 1 :], rows)
+                        spectra[j][k, label] = plane[plane_modes[j]]
 
     # slab K - k's spectrum is the conjugate of slab k's (module docstring),
     # so the last transform, along the slab index (axis j), is Hermitian
     values = np.zeros(len(sites), dtype=np.longdouble)
-    for (j, label), spectra in slab_spectra.items():
-        spectrum = scipy.fft.irfft(spectra, n=nodes, axis=0, norm="forward")
-        rows = label_of == label
-        values[rows] += spectrum[modes[rows, j], plane_slot[j][rows]]
+    for j in range(n):
+        spectrum = scipy.fft.irfft(spectra[j], n=nodes, axis=0, norm="forward")
+        values += spectrum[modes[:, j], label_of, plane_slot[j]]
     return scale * values
 
 

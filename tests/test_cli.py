@@ -524,6 +524,8 @@ BAD_INPUTS = [  # (manifest, what the error must name)
         "radius 0.5 is refused by the mirrored half, where targets left of the start run "
         "with p and q swapped (p = 0.3, q = 0.7)",
     ),
+    # past lambda t = 708 the oracle's first Poisson weight is no normal float
+    ({"command": "oracle", "p": 0.7, "t": 800, "y": [0], "nu": [1]}, "lambda t = 800"),
 ]
 
 

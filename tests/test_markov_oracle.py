@@ -277,6 +277,40 @@ def test_single_particle_series_one_sided():
     )
 
 
+def test_single_particle_series_refuses_a_displacement_off_the_integers():
+    # not read as 1, 1 and 2
+    for d in (1.5, True, "2"):
+        named = re.escape(f"displacement must be an integer, got {d!r}")
+        with pytest.raises(ValueError, match=named):
+            single_particle_series(d, R07, 1.0)
+
+
+def test_oracle_refuses_a_time_whose_first_poisson_weight_underflows():
+    # exp(-lambda t) leaves the normal floats past lambda t = 708.4 (lambda
+    # = p + q = 1 for one particle); below that the oracle still matches
+    # the series
+    for t in (720, 800):
+        with pytest.raises(ValueError, match=f"underflows at t = {t}: lambda t = {t} exceeds"):
+            oracle_distribution((0,), (1,), R07, t)
+    dist, _, _ = oracle_distribution((0,), (1,), R07, 700)
+    worst = max(abs(mass - single_particle_series(sites[0], R07, 700))
+                for (sites, _), mass in dist.items())
+    assert worst <= 1e-13
+
+
+def test_empty_start_is_refused_by_name():
+    calls = [
+        lambda: transition_probability((), (), (), (), R07, 0.5),
+        lambda: distribution_over_window((), (), R07, 0.5),
+        lambda: delta_recovery((), (), R07),
+        lambda: oracle_distribution((), (), R07, 0.5),
+        lambda: simulate((), (), R07, 0.5, 10, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="the start is empty"):
+            call()
+
+
 def test_window_for_controls_leakage():
     y = (0, 1, 2)
     window = window_for(y, 1.0, 1e-10)
@@ -308,6 +342,8 @@ def test_negative_time_names_t():
         # a single summand goes through the same engine entry point
         with pytest.raises(ValueError, match=named):
             sigma_summand((0, 1), (0, 1), (2, 1), R07, t)
+        with pytest.raises(ValueError, match=named):
+            single_particle_series(1, R05, t)
 
 
 @pytest.mark.parametrize("y, nu", [((0, 1.9), (1, 1)), ((0, 1), (1.0, 1)), ((0, True), (1, 1))])

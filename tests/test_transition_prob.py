@@ -746,6 +746,30 @@ def test_partial_sum_keeps_left_targets_on_the_direct_lattice():
     assert evaluation.values[2] == 0.0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_class_sum_is_the_sum_of_its_members_at_positive_time(n):
+    # a class's members sit in several walks, each filling part of the
+    # plane axes; its sum must be its members' one-permutation sums added
+    # up, on a target right of the start and two left of it.  Rounding each
+    # member and the sum to a double costs at most len(members) * eps of
+    # the largest term
+    y, ones = tuple(range(n)), (1,) * n
+    targets = [
+        (tuple(v + 1 for v in y), ones),
+        ((y[0] - 1,) + y[1:], ones),
+        ((-2,) + y[1:-1] + (n,), ones),
+    ]
+    spec = ContourSpec(nodes=32)
+    for members in inversion_classes(n).values():
+        whole = transition_prob._evaluate(y, ones, targets, R07, 0.5, spec, members).values
+        terms = np.array([
+            transition_prob._evaluate(y, ones, targets, R07, 0.5, spec, [sigma]).values
+            for sigma in members
+        ])
+        bound = len(members) * np.finfo(float).eps * abs(terms).max()
+        assert abs(np.subtract(whole, terms.sum(axis=0))).max() <= bound
+
+
 def test_engine_builds_one_scattering_matrix_per_half(monkeypatch):
     calls = []
 
