@@ -25,16 +25,16 @@ xi_1) is a K^(N-1) grid; in xi' coordinates sigma's slab is the plane
 normal to axis j = sigma^-1(1), whose axes are the other site columns.
 Each column is placed once: the modes it keeps, each target's place among
 them and, if it keeps at most DIRECT_MODES modes (a single target keeps
-one), its phase rows unit[(mode * k) mod K].  Planes are summed per
-(j, pi) and read only at those modes, one axis at a time: a column with
-phase rows by a direct sum against them, a wider one by an inverse FFT
-cut to its modes.  The slab's first-variable factors, a rank-one product
-of per-column vectors, are folded into the phase rows or multiplied into
-a wide axis before its transform.  Plane axis j keeps one array of
-spectra by slab, labeling and plane mode tuple; a last transform along
-the slab index finishes it, and one gather reads every target.  All node
-arithmetic, every sum and every transform run in extended precision
-(clongdouble): the spectra cancel many orders below their terms.
+one), its phase rows unit[(mode * k) mod K].  Planes are read only at
+those modes, one axis at a time: a column with phase rows by a direct sum
+against them, a wider one by an inverse FFT cut to its modes.  The slab's
+first-variable factors, a rank-one product of per-column vectors, are
+folded into the phase rows or multiplied into a wide axis before its
+transform.  Plane axis j keeps one array of spectra by slab, labeling and
+plane mode tuple; a last transform along the slab index finishes it, and
+one gather reads every target.  All node arithmetic, every sum and every
+transform run in extended precision (clongdouble): the spectra cancel
+many orders below their terms.
 
 The integrand has real coefficients: the pair amplitudes, the species
 factors built from 1 + S, p and q, and the kernels xi^(-y) e^(eps(xi) t)
@@ -55,8 +55,10 @@ coefficient tables factor through entry 1: the exchange recursion builds
 the tables of the orders of entries 2..N once per half, on bonds that are
 views of 1 + S, and they are summed with their amplitudes into one table
 per labeling.  Each slab then applies only the N - 1 letters that move
-entry 1, each given its bond from that slab's row of 1 + S.  With one
-species every letter is the identity.
+entry 1, each given its bond from that slab's row of 1 + S.  Plane axis
+j - 1 is read right after letter j, the last to touch it, so later letters
+run on arrays cut to their kept modes; plane 0 takes no letter and is
+read once per half.  With one species every letter is the identity.
 
 Targets left of the start (sum x < sum y) would need an integrand growing
 like r^(sum x - sum y) on a contour held inside the pole bound, so they
@@ -297,24 +299,26 @@ def _fold(row, factor):
     return factor if row is None else row * factor
 
 
-def _read_plane(plane, modes, rows):
-    """A plane's inverse DFT (norm="forward") on the grid of its kept
-    modes, read one axis at a time, the last first.  An axis whose row is
-    a (modes, K) matrix, its phase rows with its factor folded in, is
-    contracted with it; any other row is the axis's factor (None: none),
-    multiplied in before the axis is inverse transformed and cut to its
-    modes."""
+def _read_axis(plane, axis, modes, row):
+    """One axis of a plane's inverse DFT (norm="forward") at its kept modes.
+    A (modes, K) matrix row, the axis's phase rows with its factor folded
+    in, is contracted with the axis; any other row is the axis's factor
+    (None: none), multiplied in before the axis is inverse transformed."""
     shape = list(plane.shape)
-    for axis in reversed(range(len(shape))):
-        row = rows[axis]
-        if np.ndim(row) == 2:
-            plane = row @ plane.reshape(-1, shape[axis], math.prod(shape[axis + 1 :]))
-        else:
-            if row is not None:
-                plane = plane * axis_view(row, axis, len(shape))
-            plane = scipy.fft.ifft(plane, axis=axis, norm="forward").take(modes[axis], axis=axis)
-        shape[axis] = len(modes[axis])
-        plane = plane.reshape(shape)
+    if np.ndim(row) == 2:
+        plane = row @ plane.reshape(-1, shape[axis], math.prod(shape[axis + 1 :]))
+    else:
+        if row is not None:
+            plane = plane * axis_view(row, axis, len(shape))
+        plane = scipy.fft.ifft(plane, axis=axis, norm="forward").take(modes, axis=axis)
+    shape[axis] = len(modes)
+    return plane.reshape(shape)
+
+
+def _read_plane(plane, first, modes, rows):
+    """The plane's axes ``first`` .. read by ``_read_axis``, the last first."""
+    for axis in reversed(range(first, plane.ndim)):
+        plane = _read_axis(plane, axis, modes[axis - first], rows[axis - first])
     return plane
 
 
@@ -412,33 +416,39 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
     # the labelings in sorted order, and each target's among them
     labelings, label_of = np.unique(species, axis=0, return_inverse=True)
     labelings, label_of = list(map(tuple, labelings.tolist())), label_of.reshape(-1)
-    # plane j keeps every column but j: its deduplicated mode tuples, each
-    # target's slot among them, and its spectra by slab, labeling and slot
+    # plane j keeps every column but j: its mode tuples deduplicated on its
+    # kept modes' grid, each target's slot, its spectra by slab, labeling, slot
     plane_modes, plane_slot, spectra = [], [], []
     for j in range(n):
-        uniq, slot = np.unique(np.delete(place, j, axis=1), axis=0, return_inverse=True)
-        plane_modes.append(tuple(uniq.T))
-        plane_slot.append(slot.reshape(-1))
+        counts = [len(m) for m in kept[:j] + kept[j + 1 :]]
+        flat = np.ravel_multi_index(np.delete(place, j, axis=1).T, counts)
+        uniq, slot = np.unique(flat, return_inverse=True)
+        plane_modes.append(np.unravel_index(uniq, counts))
+        plane_slot.append(slot)
         spectra.append(np.zeros((half + 1, len(labelings), len(uniq)), dtype=np.clongdouble))
 
+    # plane 0 takes no letter: read once per labeling, times each slab's kernel
+    for start, slots in walks:
+        for label, pi in enumerate(labelings if 0 in slots else ()):
+            if pi in start:
+                plane = _read_plane(start[pi], 0, kept[1:], phases[1:])
+                spectra[0][:, label] = kernels[0][: half + 1, None] * plane[plane_modes[0]]
+
     for k in range(half + 1):
-        # the slab's first-variable factors are a rank-one product: the pair
-        # factors of the entries left of the 1 on plane axes 0 .. j - 1 (the
-        # columns left of j), the first variable's kernel on axis 0
+        # the slab's first-variable factors, a rank-one product: the pair
+        # factor with entry 1 on every plane axis, its kernel on axis 0
         left = [_fold(row, scatter[:, k]) for row in phases[:-1]]
+        left[0] = _fold(left[0], kernels[0][k])
         for table, slots in walks:
-            for j in range(max(slots) + 1):
-                if j:
-                    # letter j moves entry 1 past entry j + 1
-                    table = exchange_update(j, table, axis_view(bond[k], j - 1, n_rest), ext)
-                if j not in slots:
-                    continue
-                rows = left[:j] + phases[j + 1 :]
-                rows[0] = _fold(rows[0], kernels[0][k])
-                for label, pi in enumerate(labelings):
+            for j, row in enumerate(left[: max(slots)], 1):
+                # letter j moves entry 1 past entry j + 1; no later letter
+                # touches plane axis j - 1, so it is read right after
+                table = exchange_update(j, table, axis_view(bond[k], j - 1, n_rest), ext)
+                table = {pi: _read_axis(h, j - 1, kept[j - 1], row) for pi, h in table.items()}
+                for label, pi in enumerate(labelings if j in slots else ()):
                     # a labeling the letters so far do not reach has no entry
                     if pi in table:
-                        plane = _read_plane(table[pi], kept[:j] + kept[j + 1 :], rows)
+                        plane = _read_plane(table[pi], j, kept[j + 1 :], phases[j + 1 :])
                         spectra[j][k, label] = plane[plane_modes[j]]
 
     # slab K - k's spectrum is the conjugate of slab k's (module docstring),

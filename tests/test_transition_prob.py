@@ -535,21 +535,24 @@ def _window_halves(y, nu, window, rates):
 
 
 @pytest.mark.parametrize(
-    "y, nu, window, rates",
+    "y, nu, window, rates, nodes",
     [
-        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), R07, id="y0-nu0-window0"),
-        pytest.param((0, 1, 2, 3), (2, 1, 2, 1), (-2, 5), R07, id="y1-nu1-window1"),
-        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), RateParams.from_p(F(1, 2)), id="p=1/2"),
-        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), RateParams.from_p(F(1)), id="p=1"),
+        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), R07, 16, id="y0-nu0-window0"),
+        pytest.param((0, 1, 2, 3), (2, 1, 2, 1), (-2, 5), R07, 16, id="y1-nu1-window1"),
+        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), RateParams.from_p(F(1, 2)), 16, id="p=1/2"),
+        pytest.param((0, 1, 2), (2, 1, 2), (-3, 5), RateParams.from_p(F(1)), 16, id="p=1"),
+        # letters 3 and 4 run on tables already cut on the axes read before
+        pytest.param((0, 1, 2, 3, 4), (2, 1, 2, 1, 2), (-1, 5), R07, 8, id="n=5"),
     ],
 )
-def test_factored_planes_match_a_per_slab_reference(y, nu, window, rates):
-    # the engine factors the species tables through entry 1 and fills
-    # slab K - k as the conjugate of slab k; rebuilding every sigma's table
-    # at every one of the K slabs from the nodes gives the same window to
-    # rounding, in extended precision, on both halves.  At p = 1 (q = 0)
-    # the mirrored half is empty
-    nodes, t = 16, 0.5
+def test_factored_planes_match_a_per_slab_reference(y, nu, window, rates, nodes):
+    # the engine factors the species tables through entry 1, reads each
+    # plane axis right after its last letter and fills slab K - k as the
+    # conjugate of slab k; rebuilding every sigma's table at every one of
+    # the K slabs from the nodes gives the same window to rounding, in
+    # extended precision, on both halves.  At p = 1 (q = 0) the mirrored
+    # half is empty
+    t = 0.5
     spec = ContourSpec(nodes=nodes, dimension=len(y))
     worst = scale = 0.0
     for mirrored, (start, labels, half_rates, xs, pis) in enumerate(
@@ -641,8 +644,10 @@ def test_readouts_agree_at_the_direct_modes_boundary(extra):
 def test_mixed_planes_take_ffts_on_their_wide_axes_only(monkeypatch):
     # the last site column keeps DIRECT_MODES + 1 modes, the others one:
     # the planes normal to axes 0 and 1 each mix a direct axis with a wide
-    # one, and only the wide one, their last, reaches ifft; the plane normal
-    # to axis 2 is read directly.  Each target alone agrees with the batch
+    # one, and only the wide one, their last, reaches ifft, on a whole plane
+    # (plane 0) or on one already cut on its first axis (plane 1); the plane
+    # normal to axis 2 is read directly.  Each target alone agrees with the
+    # batch
     y, nu = (0, 1, 2), (2, 1, 2)
     count = transition_prob.DIRECT_MODES + 1
     xs = np.array([(1, 2, 3 + i) for i in range(count)])
@@ -650,24 +655,52 @@ def test_mixed_planes_take_ffts_on_their_wide_axes_only(monkeypatch):
     alone, batch = _alone_and_in_batch(y, nu, R07, xs, pis)
     assert abs(alone - batch).max() <= 1e-17 * abs(batch).max()
 
-    calls, wide = [], []
-    ifft, read_plane = scipy.fft.ifft, transition_prob._read_plane
+    calls, reads = [], []
+    ifft, read_axis = scipy.fft.ifft, transition_prob._read_axis
 
     def counted_ifft(plane, axis, **kwargs):
         calls.append((plane.shape, axis))
         return ifft(plane, axis=axis, **kwargs)
 
-    def counted_read(plane, modes, rows):
-        wide.append(sum(np.ndim(row) != 2 for row in rows))
-        return read_plane(plane, modes, rows)
+    def counted_read(plane, axis, modes, row):
+        reads.append((len(modes), np.ndim(row) == 2))
+        return read_axis(plane, axis, modes, row)
 
     monkeypatch.setattr(transition_prob.scipy.fft, "ifft", counted_ifft)
-    monkeypatch.setattr(transition_prob, "_read_plane", counted_read)
+    monkeypatch.setattr(transition_prob, "_read_axis", counted_read)
     targets = list(zip(map(tuple, xs.tolist()), map(tuple, pis.tolist())))
     transition_probabilities(y, nu, targets, R07, 0.5, ContourSpec(nodes=16))
-    assert sorted(set(wide)) == [0, 1]
-    assert len(calls) == sum(wide)
-    assert set(calls) == {((16, 16), 1)}
+    # a direct axis keeps one mode and is contracted, the wide one is not
+    assert set(reads) == {(1, True), (count, False)}
+    assert len(calls) == reads.count((count, False))
+    assert {(shape[-1], axis) for shape, axis in calls} == {(16, 1)}
+
+
+def test_each_plane_axis_is_read_right_after_its_letter(monkeypatch):
+    # one N = 4 target per half: letter j meets table entries already cut
+    # to their one kept mode on plane axes 0 .. j - 2, which the letters
+    # before it were the last to touch, and plane 0, which takes no letter,
+    # is read once per half and labeling, not once per slab
+    y, nu, nodes = (0, 1, 2, 3), (2, 1, 2, 1), 16
+    n = len(y)
+    shapes, firsts = [], []
+    letter, read_plane = species_coeff.exchange_update, transition_prob._read_plane
+
+    def letter_spy(i, h, c, rates):
+        shapes.extend((i, np.shape(v)) for v in h.values())
+        return letter(i, h, c, rates)
+
+    def read_spy(plane, first, modes, rows):
+        firsts.append(first)
+        return read_plane(plane, first, modes, rows)
+
+    monkeypatch.setattr(transition_prob, "exchange_update", letter_spy)
+    monkeypatch.setattr(transition_prob, "_read_plane", read_spy)
+    targets = [((1, 2, 3, 5), (2, 1, 1, 2)), ((-1, 0, 1, 3), (2, 2, 1, 1))]
+    transition_probabilities(y, nu, targets, R07, 0.5, ContourSpec(nodes=nodes))
+    assert set(shapes) == {(j, (1,) * (j - 1) + (nodes,) * (n - j)) for j in range(1, n)}
+    slabs = nodes // 2 + 1
+    assert sorted(firsts) == sorted([0] * 2 + list(range(1, n)) * 2 * slabs)
 
 
 @pytest.mark.parametrize("d, aliased", [(63, 0.121943), (66, 0.147601)])
