@@ -24,8 +24,9 @@ so the walks here read them from a ``PairTable``: ``1 + S(xi_a, xi_b)``
 keyed by the ordered entries (a, b), each evaluated the first time a
 letter needs it.  Every function taking ``xi`` accepts the N points or a
 table already built on them, so one table serves every call made at one
-point (the exact sweeps build one per rational point; the contour engine
-passes a plain dict of views of its scattering matrix for its rest grid).
+point (the exact sweeps build one per rational point).  The contour engine
+calls ``exchange_update`` alone, with bonds that are views of its
+scattering matrix on the node grid.
 
 The exact braid sweep runs on integer numerators.  At a rational point
 ``PairTable.over_common_denominator`` writes p = P/R, q = Q/R and every
@@ -83,10 +84,9 @@ class PairTable(dict):
         self.rates = rates
 
     @classmethod
-    def of(cls, xi, rates: RateParams) -> dict:
-        """``xi`` itself when it is already a table (any dict of bonds),
-        else a new one on it."""
-        return xi if isinstance(xi, dict) else cls(xi, rates)
+    def of(cls, xi, rates: RateParams) -> PairTable:
+        """``xi`` itself when it is already a table, else a new one on it."""
+        return xi if isinstance(xi, cls) else cls(xi, rates)
 
     def __missing__(self, pair):
         a, b = pair

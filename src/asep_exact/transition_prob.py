@@ -51,14 +51,16 @@ Every scattering factor a half needs is an entry of one K x K matrix
 S[k, l] = s_factor(z_k, z_l) on the node circle, evaluated (and checked
 against the pole guard) once.  The factors with the first variable are
 its columns, those within the rest grid its axis views.  The species
-coefficient tables factor through entry 1: the exchange recursion builds
-the tables of the orders of entries 2..N once per half, on bonds that are
-views of 1 + S, and they are summed with their amplitudes into one table
-per labeling.  Each slab then applies only the N - 1 letters that move
-entry 1, each given its bond from that slab's row of 1 + S.  Plane axis
-j - 1 is read right after letter j, the last to touch it, so later letters
-run on arrays cut to their kept modes; plane 0 takes no letter and is
-read once per half.  With one species every letter is the identity.
+coefficient tables factor through entry 1.  The orders of entries 2..N
+are built by placing those entries one at a time on free plane axes, each
+taking its pair factors and exchange letters, on bonds that are views of
+1 + S, and orders that fill the same axes are summed at once: 2^(N-1)
+tables per half instead of (N-1)! (Held-Karp 1962).  Each slab then
+applies only the N - 1 letters that move entry 1, each given its bond
+from that slab's row of 1 + S.  Plane axis j - 1 is read right after
+letter j, the last to touch it, so later letters run on arrays cut to
+their kept modes; plane 0 takes no letter and is read once per half.
+With one species every letter is the identity.
 
 Targets left of the start (sum x < sum y) would need an integrand growing
 like r^(sum x - sum y) on a contour held inside the pole bound, so they
@@ -93,8 +95,8 @@ from .markov_oracle import (
     window_for,
     window_leakage,
 )
-from .permutations import all_permutations, inversion_classes, inversions
-from .species_coeff import coefficient_table, exchange_update
+from .permutations import all_permutations, inversion_classes
+from .species_coeff import exchange_update
 
 # Slack on a probability and on a window's total mass: a value outside
 # [-MASS_TOL, 1 + MASS_TOL], or a window's mass outside
@@ -350,60 +352,53 @@ def _contour_sum(y, nu, sites, species, ext, t, radius, nodes, permutations=None
     scatter = s_factor(z[:, None], z[None, :], ext)
     bond = 1 + scatter
 
-    rest_kernel = axis_view(kernels[1], 0, n_rest)
-    for a in range(3, n + 1):
-        rest_kernel = rest_kernel * axis_view(kernels[a - 1], a - 2, n_rest)
-
     # In xi'_i = xi_sigma(i) coordinates every summand carries the same
     # monomial prod xi'^x.  A slab fixes xi_1 = xi'_j with j = sigma^-1(1),
     # so sigma's slab is the plane normal to axis j, its axes in xi' order.
     # Write sigma as the order tau of the entries 2..N with 1 inserted in
-    # slot j: plane axis m then holds the entry tau[m], the pair factors
-    # within the rest grid depend on tau only, and the factors with the
+    # slot j: plane axis m holds the entry tau[m], and the factors with the
     # first variable sit on plane axes 0..j-1 whatever tau is.
     #
-    # The same split is a reduced word for sigma: letters at bonds >= 2
-    # sort the entries 2..N into tau while 1 stays in slot 1, then the
-    # letters at bonds 1..j move it to slot j + 1.  The first part reads
-    # only bonds between entries >= 2, so one table per tau serves every
-    # slab; the second reads 1 + S(xi_1, xi'_m), the same for every tau in
-    # plane coordinates.  Letters are pointwise linear, so the tau sum
-    # U[pi] = sum amp_tau * T_tau[pi] is formed once per half and each slab
-    # only walks it through the N - 1 letters.  With one species every
-    # letter is the identity.
-    rest_bonds = {
-        (a, b): _pair_view(bond, a - 1, b - 1, n_rest) for b in range(2, n) for a in range(1, b)
-    }
-    rest_tables = coefficient_table(tuple(nu[1:]), rest_bonds, ext)
-
-    # the orders tau each plane axis j sums over; axes with the same orders
-    # share one walk
+    # tau is built by placing entries 2..N in turn on free plane axes while
+    # entry 1 stays in slot 1.  The entry placed on axis a is inverted with
+    # exactly the entries on filled axes c > a: each adds the amplitude
+    # factor S(xi'_a, xi'_c) and one letter, bond 1 + S(xi'_c, xi'_a), that
+    # moves it left past that entry, so the letters at bonds >= 2 are a
+    # reduced word for tau.  A state is the filled axes and the orders ahead
+    # of it, each with the plane axes j that sum it; orders reaching the
+    # same state are summed (the full sum: one state per filled set), and a
+    # final state is one walk.  The letters at bonds 1..j, which then move
+    # entry 1 to slot j + 1, read 1 + S(xi_1, xi'_m) whatever tau is, so
+    # each slab walks only the summed tables.
     chosen = None if permutations is None else set(map(tuple, permutations))
-    orders = {}
-    for j in range(n):
-        taus = tuple(
-            tau
-            for tau in all_permutations(n_rest)
+    ahead = {}
+    for tau in all_permutations(n_rest):
+        slots = frozenset(
+            j
+            for j in range(n)
             if chosen is None or tuple(v + 1 for v in tau[:j] + (0,) + tau[j:]) in chosen
         )
-        if taus:
-            orders.setdefault(taus, []).append(j)
-    walks = []
-    for taus, slots in orders.items():
-        start = {}
-        for tau in taus:
-            axes = tuple(v - 1 for v in tau)
-            amp = rest_kernel.transpose(axes)
-            for a, b in sorted(inversions(tau)):
-                pair = _pair_view(scatter, a - 1, b - 1, n_rest)
-                amp = np.multiply(amp, pair.transpose(axes), order="C")
-            for rest_pi, coeff in rest_tables[tau].items():
-                if np.ndim(coeff):
-                    coeff = coeff.transpose(axes)
-                pi = (nu[0],) + rest_pi
-                term = amp * coeff
-                start[pi] = start[pi] + term if pi in start else term
-        walks.append((start, slots))
+        if slots:
+            # the plane axis of each entry 2..N, in the order they are placed
+            ahead[tuple(tau.index(v) for v in range(1, n))] = slots
+    states = {(frozenset(), frozenset(ahead.items())): {nu[:1]: 1}}
+    for v in range(1, n):
+        grown = {}
+        for (filled, orders), table in states.items():
+            for a in sorted({axes[0] for axes, _ in orders}):
+                key = filled | {a}, frozenset((axes[1:], s) for axes, s in orders if axes[0] == a)
+                amp = axis_view(kernels[v], a, n_rest)
+                h = {pi + (nu[v],): g for pi, g in table.items()}
+                for i, c in reversed(list(enumerate(sorted(filled), 2))):
+                    if c < a:
+                        break
+                    amp = amp * _pair_view(scatter, a, c, n_rest)
+                    h = exchange_update(i, h, _pair_view(bond, c, a, n_rest), ext)
+                total = grown.setdefault(key, {})
+                for pi, g in h.items():
+                    total[pi] = total[pi] + amp * g if pi in total else amp * g
+        states = grown
+    walks = [(table, slots) for (_, orders), table in states.items() for _, slots in orders]
 
     # per site column: the modes it keeps, each target's place among them,
     # and, when it keeps at most DIRECT_MODES modes, its phase rows

@@ -429,24 +429,20 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("nu", [(2, 1, 2), (2, 1, 2, 1)])
 def test_slab_pair_table_matches_points_bitwise(nu, monkeypatch):
     # every bond the engine hands the species walk is a view of one 1 + S
-    # matrix, bit for bit the factor evaluated at the nodes: the rest-grid
-    # bonds build the same species tables as the rest points, and letter i
-    # of slab k gets 1 + S(z_k, .) along plane axis i - 1
+    # matrix, bit for bit the factor evaluated at the nodes: an insertion
+    # letter, which moves the entry placed on plane axis a left past the one
+    # on axis b > a, gets 1 + S(xi'_b, xi'_a), and letter i of slab k gets
+    # 1 + S(z_k, .) along plane axis i - 1
     n = len(nu)
     nodes = 8
     ext = transition_prob._extended_rates(R07)
     z = node_points(np.longdouble(0.3), nodes)
-    tables, letters = [], []
-
-    def table_spy(nu_rest, pairs, rates):
-        tables.append((nu_rest, pairs))
-        return coefficient_table(nu_rest, pairs, rates)
+    letters = []
 
     def letter_spy(i, h, c, rates):
         letters.append((i, c))
         return species_coeff.exchange_update(i, h, c, rates)
 
-    monkeypatch.setattr(transition_prob, "coefficient_table", table_spy)
     monkeypatch.setattr(transition_prob, "exchange_update", letter_spy)
     spec = ContourSpec(nodes=nodes, radius=0.3, dimension=n)
     y = tuple(range(n))
@@ -458,24 +454,29 @@ def test_slab_pair_table_matches_points_bitwise(nu, monkeypatch):
     else:
         transition_probabilities(y, nu, targets, R07, 0.5, spec)
 
-    rest = tuple(axis_view(z, a, n - 1) for a in range(n - 1))
-    [(nu_rest, rest_bonds)] = tables
-    assert nu_rest == nu[1:]
-    expect = coefficient_table(nu_rest, rest, ext)
-    got = coefficient_table(nu_rest, rest_bonds, ext)
-    assert got.keys() == expect.keys()
-    for sigma, table in expect.items():
-        assert got[sigma].keys() == table.keys()
-        for pi, value in table.items():
-            assert _same_bits(got[sigma][pi], value), (sigma, pi)
-
-    walked = []
+    walked, inserted = [], []
     for i, c in letters:
-        [k] = [
-            k for k in range(nodes)
-            if _same_bits(c, 1 + s_factor(z[k], axis_view(z, i - 1, n - 1), ext))
-        ]
-        walked.append((k, i))
+        if sum(d > 1 for d in np.shape(c)) == 1:
+            [k] = [
+                k for k in range(nodes)
+                if _same_bits(c, 1 + s_factor(z[k], axis_view(z, i - 1, n - 1), ext))
+            ]
+            walked.append((k, i))
+        else:
+            [pair] = [
+                (a, b)
+                for a in range(n - 1)
+                for b in range(n - 1)
+                if a != b
+                and _same_bits(c, 1 + s_factor(axis_view(z, b, n - 1), axis_view(z, a, n - 1), ext))
+            ]
+            inserted.append(pair)
+    # one state per set of filled axes: the pair (a, b) takes one letter for
+    # each set of the other N - 3 axes filled alongside b when an entry goes
+    # on a, C(N - 1, 2) 2^(N - 3) letters in all
+    assert sorted(inserted) == [
+        (a, b) for a in range(n - 1) for b in range(a + 1, n - 1) for _ in range(2 ** (n - 3))
+    ]
     # slabs K/2 + 1 .. K - 1 are filled as the conjugates of walked ones
     assert sorted(walked) == [(k, i) for k in range(nodes // 2 + 1) for i in range(1, n)]
 
@@ -687,7 +688,9 @@ def test_each_plane_axis_is_read_right_after_its_letter(monkeypatch):
     letter, read_plane = species_coeff.exchange_update, transition_prob._read_plane
 
     def letter_spy(i, h, c, rates):
-        shapes.extend((i, np.shape(v)) for v in h.values())
+        # slab letters only: their bonds vary along one plane axis
+        if sum(d > 1 for d in np.shape(c)) == 1:
+            shapes.extend((i, np.shape(v)) for v in h.values())
         return letter(i, h, c, rates)
 
     def read_spy(plane, first, modes, rows):
